@@ -159,7 +159,7 @@ def cmd_im(args) -> int:
 def cmd_perm(args) -> int:
     diagram = parse_permutation(_read_input(args.input))
     g = permutation_graph(diagram)
-    coloring = strong_color_permutation(diagram)
+    coloring = strong_color_permutation(diagram, g)
     out = {
         "command": "perm",
         "n": g.n,
@@ -203,7 +203,7 @@ def _oracle_permutation(text: str, budget: int | None) -> list[OracleReport]:
     g = permutation_graph(diagram)
     sq = square_of_linegraph(g).graph
     desc = f"permutation(n={g.n},m={g.m})"
-    coloring = strong_color_permutation(diagram)
+    coloring = strong_color_permutation(diagram, g)
     if not is_strong_edge_coloring(g, coloring):
         raise GraphError("greedy coloring failed verification")
     chi, t_chi = timed(exact_chromatic_number, sq, budget)

@@ -234,25 +234,35 @@ def _leaf_from_obj(obj: dict, path: str) -> DecompNode:
 
 
 def serialize_decomposition(tree: DecompositionTree) -> str:
-    """Canonical JSON: strictly binary children arrays, compact separators."""
-    parts: dict[int, str] = {}
-    stack: list[tuple[DecompNode, bool]] = [(tree.root, False)]
+    """Canonical JSON with compact separators, in time linear in its length.
+
+    A left-leaning chain of one operation is written as one flat children
+    list, the inverse of the fold in `parse_decomposition`; right children
+    stay nested.  Parsing the result gives back the same binary tree, so
+    the realized edge order is unchanged, and a chain of any length nests
+    one level deep.
+    """
+    out: list[str] = []
+    stack: list[DecompNode | str] = [tree.root]
     while stack:
-        node, done = stack.pop()
-        if isinstance(node, _LEAF):
-            kind = "tree" if isinstance(node, TreeLeaf) else "cotree"
-            doc = {"type": kind, "n": node.t.n, "edges": [list(e) for e in node.t.edges]}
-            parts[id(node)] = json.dumps(doc, separators=(",", ":"))
-        elif done:
-            kind = "join" if isinstance(node, JoinNode) else "union"
-            left = parts.pop(id(node.left))
-            right = parts.pop(id(node.right))
-            parts[id(node)] = f'{{"type":"{kind}","children":[{left},{right}]}}'
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, _LEAF):
+            kind = "tree" if isinstance(item, TreeLeaf) else "cotree"
+            doc = {"type": kind, "n": item.t.n, "edges": [list(e) for e in item.t.edges]}
+            out.append(json.dumps(doc, separators=(",", ":")))
         else:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-    return parts[id(tree.root)]
+            kind = "join" if isinstance(item, JoinNode) else "union"
+            out.append(f'{{"type":"{kind}","children":[')
+            stack.append("]}")
+            node = item
+            while type(node) is type(item):
+                stack.append(node.right)
+                stack.append(",")
+                node = node.left
+            stack.append(node)
+    return "".join(out)
 
 
 def realize(tree: DecompositionTree) -> Graph:

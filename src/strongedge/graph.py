@@ -5,8 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 class GraphError(ValueError):
     """Raised for malformed graph inputs (self-loops, duplicates, bad ids)."""
@@ -191,33 +189,21 @@ def is_strong_edge_coloring(g: Graph, coloring: StrongEdgeColoring) -> bool:
     {u,v} the colors present at u and at v have only that edge's own color
     in common.  Any violation of either condition is a pair of base edges
     at linegraph distance <= 2 with equal colors, and conversely.
+
+    One color set per vertex holds O(m) entries in all; each edge's
+    intersection costs the smaller endpoint degree, O(m * arboricity) in
+    all.
     """
     colors = coloring.colors
     if len(colors) != g.m:
         raise GraphError(f"coloring has {len(colors)} entries for {g.m} edges")
-    if g.m == 0:
-        return True
-
-    k = coloring.palette_size
-    uu = np.fromiter((e[0] for e in g.edges), dtype=np.int64, count=g.m)
-    vv = np.fromiter((e[1] for e in g.edges), dtype=np.int64, count=g.m)
-    cc = np.asarray(colors, dtype=np.int64)
-
-    counts = np.zeros((g.n, k), dtype=np.uint32)
-    np.add.at(counts, (uu, cc), 1)
-    np.add.at(counts, (vv, cc), 1)
-    if (counts > 1).any():
-        return False
-
-    present = counts > 0
-    # Shared-color check per edge, batched to bound memory on dense inputs.
-    chunk = max(1, (1 << 22) // max(k, 1))
-    for lo in range(0, g.m, chunk):
-        hi = min(lo + chunk, g.m)
-        both = present[uu[lo:hi]] & present[vv[lo:hi]]
-        if (both.sum(axis=1) != 1).any():
+    at: list[set[int]] = [set() for _ in range(g.n)]
+    for (u, v), c in zip(g.edges, colors):
+        if c in at[u] or c in at[v]:
             return False
-    return True
+        at[u].add(c)
+        at[v].add(c)
+    return all(len(at[u] & at[v]) == 1 for u, v in g.edges)
 
 
 def is_induced_matching(g: Graph, pairs: list[tuple[int, int]]) -> bool:

@@ -10,9 +10,9 @@ colors.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 from dataclasses import dataclass
-
-import numpy as np
 
 from .graph import Graph, StrongEdgeColoring, build_graph
 
@@ -62,12 +62,35 @@ def parse_permutation(text: str) -> PermutationDiagram:
 
 def permutation_graph(d: PermutationDiagram) -> Graph:
     """Intersection graph of the diagram's segments: i ~ j iff the pair is
-    inverted by pi.  Edges are listed in lexicographic order."""
+    inverted by pi.  Edges are listed in lexicographic order.
+
+    Insertion sort enumerates the inversions in O(n + m): position j enters
+    a row of the earlier positions kept sorted by pi value, from the right
+    end, and every position it passes is one edge (i, j).
+    """
     pi = d.pi
-    edges = [
-        (i, j) for i in range(d.n) for j in range(i + 1, d.n) if pi[i] > pi[j]
-    ]
-    return build_graph(d.n, edges)
+    row: list[int] = []
+    later: list[list[int]] = [[] for _ in range(d.n)]
+    for j, v in enumerate(pi):
+        k = len(row)
+        while k and pi[row[k - 1]] > v:
+            k -= 1
+            later[row[k]].append(j)
+        row.insert(k, j)
+    return build_graph(d.n, [(i, j) for i, js in enumerate(later) for j in js])
+
+
+def _count_inversions(pi: tuple[int, ...]) -> int:
+    """Number of inverted pairs of pi.  Each value is inserted into a sorted
+    row past the larger values before it, one per inversion, so the cost
+    is O(n log n) comparisons plus O(m) entries moved."""
+    row: list[int] = []
+    count = 0
+    for v in pi:
+        k = bisect.bisect(row, v)
+        count += len(row) - k
+        row.insert(k, v)
+    return count
 
 
 @dataclass(frozen=True)
@@ -94,23 +117,23 @@ def trapezoid_model(d: PermutationDiagram, g: Graph) -> list[Trapezoid]:
     """One trapezoid per edge of g, which must be permutation_graph(d).
 
     Trapezoids intersect exactly when the corresponding edges are adjacent
-    in the squared linegraph of g.
+    in the squared linegraph of g.  The check that g is the inversion graph
+    needs no second build: a simple graph on d.n vertices whose every edge
+    is an inversion, and which has as many edges as pi has inversions, is
+    the inversion graph.
     """
-    expected = permutation_graph(d)
-    if g.n != expected.n or g.edge_set() != expected.edge_set():
-        raise PermutationError("graph does not match the permutation diagram")
     pi = d.pi
-    traps = []
-    for idx, (u, v) in enumerate(g.edges):
-        a, b = pi[u], pi[v]
-        if a > b:
-            a, b = b, a
-        traps.append(Trapezoid(u, v, a, b, idx))
-    return traps
+    if not (
+        g.n == d.n
+        and all(u < v and pi[u] > pi[v] for u, v in g.edges)
+        and g.m == _count_inversions(pi)
+    ):
+        raise PermutationError("graph does not match the permutation diagram")
+    return [Trapezoid(u, v, pi[v], pi[u], idx) for idx, (u, v) in enumerate(g.edges)]
 
 
 def greedy_trapezoid_coloring(traps: list[Trapezoid]) -> StrongEdgeColoring:
-    """Tightest-fit sweep by top-left corner.
+    """Tightest-fit sweep by top-left corner, in O(m log m).
 
     Trapezoids are processed in increasing (top_lo, bot_lo, edge_index).
     Each goes to a color class it is disjoint from, choosing among the
@@ -121,39 +144,51 @@ def greedy_trapezoid_coloring(traps: list[Trapezoid]) -> StrongEdgeColoring:
     so clearing the frontier clears the whole class, and because top_lo
     never decreases the frontier test is exact, not just sufficient.
 
+    The candidates are found without scanning the classes.  A class waits
+    in a heap keyed by its top frontier until top_lo passes it; from then
+    on it stays free until it is picked, and free classes sit in a min-heap
+    of class ids per bottom frontier.  A sorted list of the bottom
+    frontiers that have free classes answers "largest frontier < bot_lo"
+    by bisection; it holds at most n values, so keeping it sorted costs a
+    short memory move per class released or emptied.
+
     Picking the smallest class instead (plain first-fit) can exceed the
     clique number, with counterexamples from seven-point diagrams on up.
     The tightest-fit choice never hurts later trapezoids: anything that fits
     a fuller class also fits an emptier one.  Optimality is the tested
     greedy hypothesis; the oracle acceptance tests keep it honest.
     """
-    if not traps:
-        return StrongEdgeColoring((), 0)
     order = sorted(traps, key=lambda t: (t.top_lo, t.bot_lo, t.edge_index))
-    cap = 64
-    ftop = np.full(cap, -1, dtype=np.int64)
-    fbot = np.full(cap, -1, dtype=np.int64)
-    k = 0
+    fbot: list[int] = []
+    busy: list[tuple[int, int]] = []
+    free: dict[int, list[int]] = {}
+    free_fbots: list[int] = []
     colors = [0] * len(traps)
     for t in order:
-        c = k
-        if k:
-            mask = (ftop[:k] < t.top_lo) & (fbot[:k] < t.bot_lo)
-            if mask.any():
-                c = int(np.where(mask, fbot[:k], -1).argmax())
-        if c == k:
-            k += 1
-            if k > cap:
-                cap *= 2
-                ftop = np.resize(ftop, cap)
-                fbot = np.resize(fbot, cap)
-        ftop[c] = t.top_hi
-        fbot[c] = t.bot_hi
+        while busy and busy[0][0] < t.top_lo:
+            c = heapq.heappop(busy)[1]
+            b = fbot[c]
+            if b in free:
+                heapq.heappush(free[b], c)
+            else:
+                free[b] = [c]
+                bisect.insort(free_fbots, b)
+        i = bisect.bisect_left(free_fbots, t.bot_lo)
+        if i:
+            b = free_fbots[i - 1]
+            c = heapq.heappop(free[b])
+            if not free[b]:
+                del free[b], free_fbots[i - 1]
+            fbot[c] = t.bot_hi
+        else:
+            c = len(fbot)
+            fbot.append(t.bot_hi)
+        heapq.heappush(busy, (t.top_hi, c))
         colors[t.edge_index] = c
     return StrongEdgeColoring.from_colors(colors)
 
 
-def strong_color_permutation(d: PermutationDiagram) -> StrongEdgeColoring:
-    """Strong edge coloring of permutation_graph(d) via the trapezoid sweep."""
-    g = permutation_graph(d)
+def strong_color_permutation(d: PermutationDiagram, g: Graph) -> StrongEdgeColoring:
+    """Strong edge coloring of g = permutation_graph(d) via the trapezoid
+    sweep; g is checked against d, not rebuilt."""
     return greedy_trapezoid_coloring(trapezoid_model(d, g))

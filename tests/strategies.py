@@ -1,6 +1,6 @@
 """Shared hypothesis strategies: graphs, trees, decomposition trees and
-permutation diagrams sized for the exact oracles, plus a tree-diameter
-helper that the tests use as an independent reference."""
+documents, and permutation diagrams sized for the exact oracles, plus a
+tree-diameter helper that the tests use as an independent reference."""
 
 from collections import deque
 
@@ -70,6 +70,23 @@ def decomposition_trees(draw, max_leaf_n=5, max_internal=3):
         return UnionNode(left, right)
 
     return DecompositionTree(node(max_internal))
+
+
+@st.composite
+def decomposition_docs(draw, max_leaf_n=4, max_depth=3, max_children=4):
+    """Decomposition documents as JSON objects whose internal nodes have
+    two to `max_children` children."""
+
+    def node(depth):
+        if depth == 0 or draw(st.booleans()):
+            t = draw(trees(max_n=max_leaf_n))
+            kind = draw(st.sampled_from(["tree", "cotree"]))
+            return {"type": kind, "n": t.n, "edges": [list(e) for e in t.edges]}
+        k = draw(st.integers(2, max_children))
+        kind = draw(st.sampled_from(["join", "union"]))
+        return {"type": kind, "children": [node(depth - 1) for _ in range(k)]}
+
+    return node(max_depth)
 
 
 @st.composite

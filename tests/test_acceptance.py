@@ -264,7 +264,8 @@ def test_criterion_08_permutation_coloring():
         rng.shuffle(pi)
         d = PermutationDiagram(len(pi), tuple(pi))
         if not is_strong_edge_coloring(
-            permutation_graph(d), strong_color_permutation(d)
+            permutation_graph(d),
+            strong_color_permutation(d, permutation_graph(d)),
         ):
             invalid += 1
 
@@ -276,7 +277,8 @@ def test_criterion_08_permutation_coloring():
             chi = exact_chromatic_number(
                 square_of_linegraph(permutation_graph(d)).graph
             )
-            if strong_color_permutation(d).palette_size != chi:
+            coloring = strong_color_permutation(d, permutation_graph(d))
+            if coloring.palette_size != chi:
                 suboptimal += 1
     rng = random.Random(88)
     for n in (6, 7):
@@ -287,7 +289,8 @@ def test_criterion_08_permutation_coloring():
             chi = exact_chromatic_number(
                 square_of_linegraph(permutation_graph(d)).graph
             )
-            if strong_color_permutation(d).palette_size != chi:
+            coloring = strong_color_permutation(d, permutation_graph(d))
+            if coloring.palette_size != chi:
                 suboptimal += 1
 
     report(

@@ -23,7 +23,9 @@ from strongedge import (
     tree_from_prufer,
 )
 
-from strategies import decomposition_trees
+from strongedge.cli import _bench_instance
+
+from strategies import decomposition_docs, decomposition_trees
 
 K2_LEAF = '{"type":"tree","n":2,"edges":[[0,1]]}'
 JOIN_K2_K2 = f'{{"type":"join","children":[{K2_LEAF},{K2_LEAF}]}}'
@@ -132,12 +134,55 @@ def test_serialized_form_is_canonical_json():
     assert serialize_decomposition(parse_decomposition(text)) == text
 
 
+def _preorder(t):
+    """Node kinds and leaf trees in pre-order.  Every internal node has two
+    children, so equal lists mean equal trees, hence equal realized edge
+    orders."""
+    out, stack = [], [t.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (TreeLeaf, CotreeLeaf)):
+            out.append((type(node).__name__, node.t.n, node.t.edges))
+        else:
+            out.append(type(node).__name__)
+            stack += [node.right, node.left]
+    return out
+
+
+def _node_depth(obj):
+    """Levels of nested nodes in a decomposition document."""
+    depth, stack = 0, [(obj, 1)]
+    while stack:
+        o, d = stack.pop()
+        depth = max(depth, d)
+        stack.extend((child, d + 1) for child in o.get("children", ()))
+    return depth
+
+
 @given(decomposition_trees())
 def test_parse_serialize_round_trip(t):
     text = serialize_decomposition(t)
     again = parse_decomposition(text)
     assert serialize_decomposition(again) == text
     assert (again.n, again.m) == (t.n, t.m)
+    assert _preorder(again) == _preorder(t)
+
+
+@given(decomposition_docs())
+def test_serialize_nests_no_deeper_than_the_document(obj):
+    t = parse_decomposition(json.dumps(obj))
+    assert _node_depth(json.loads(serialize_decomposition(t))) <= _node_depth(obj)
+
+
+def test_long_chains_round_trip():
+    flat = '{"type":"union","children":[' + ",".join([K2_LEAF] * 4000) + "]}"
+    t = parse_decomposition(flat)
+    assert serialize_decomposition(t) == flat
+
+    big = _bench_instance(10**5, 512, random.Random(0))
+    again = parse_decomposition(serialize_decomposition(big))
+    assert again.n == big.n == 10**5 and again.m == big.m
+    assert _preorder(again) == _preorder(big)
 
 
 @given(decomposition_trees())

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -59,6 +60,22 @@ def test_is_strong_edge_coloring_examples():
     # edges 0 and 2 are joined by edge 1, so they may not share a color
     assert not is_strong_edge_coloring(P4, StrongEdgeColoring.from_colors([0, 1, 0]))
     assert is_strong_edge_coloring(build_graph(0, []), StrongEdgeColoring(()))
+
+
+def test_is_strong_edge_coloring_memory_is_linear():
+    # A perfect matching with 20,000 distinct colors: a vertex-by-color
+    # table of 4-byte counts would take 40,000 * 20,000 * 4 B = 3.2 GB.
+    m = 20_000
+    g = build_graph(2 * m, [(2 * i, 2 * i + 1) for i in range(m)])
+    coloring = StrongEdgeColoring(tuple(range(m)))
+    tracemalloc.start()
+    try:
+        ok = is_strong_edge_coloring(g, coloring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < 64 << 20
 
 
 def test_is_strong_edge_coloring_rejects_length_mismatch():
@@ -180,6 +197,24 @@ def test_coloring_checker_matches_both_formulations(g, data):
     by_class = all(is_induced_matching(g, cls) for cls in classes.values())
 
     assert fast == proper == by_class
+
+
+@given(graphs(), st.randoms(use_true_random=False))
+def test_coloring_checker_on_linegraph_proper_colorings(g, rng):
+    # Edges sharing a vertex get distinct colors, so only the check on
+    # edges joined by a third edge can reject these colorings.
+    at = [set() for _ in range(g.n)]
+    colors = []
+    for u, v in g.edges:
+        free = [c for c in range(3) if c not in at[u] | at[v]]
+        c = rng.choice(free) if free else 3 + len(colors)
+        at[u].add(c)
+        at[v].add(c)
+        colors.append(c)
+    coloring = StrongEdgeColoring.from_colors(colors)
+    sq = square_of_linegraph(g).graph
+    proper = all(coloring.colors[i] != coloring.colors[j] for i, j in sq.edges)
+    assert is_strong_edge_coloring(g, coloring) == proper
 
 
 @given(trees(max_n=12))

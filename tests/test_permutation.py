@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -6,7 +7,9 @@ from hypothesis import given
 from strongedge import (
     PermutationDiagram,
     PermutationError,
+    StrongEdgeColoring,
     Trapezoid,
+    build_graph,
     exact_chromatic_number,
     exact_max_clique,
     greedy_trapezoid_coloring,
@@ -41,6 +44,13 @@ def test_permutation_graph_examples():
     assert g.edge_set() == {(0, 1), (2, 3)}
 
 
+@given(permutation_diagrams(max_n=40))
+def test_permutation_graph_matches_the_pair_definition(d):
+    pi = d.pi
+    pairs = [(i, j) for i in range(d.n) for j in range(i + 1, d.n) if pi[i] > pi[j]]
+    assert permutation_graph(d).edges == pairs
+
+
 def test_trapezoid_model_examples():
     d = PermutationDiagram(3, (2, 1, 0))
     g = permutation_graph(d)
@@ -62,6 +72,15 @@ def test_trapezoid_model_rejects_mismatched_graph():
     other = permutation_graph(PermutationDiagram(3, (0, 1, 2)))
     with pytest.raises(PermutationError, match="does not match"):
         trapezoid_model(d, other)
+
+    d = PermutationDiagram(4, (1, 0, 3, 2))  # inversions (0,1) and (2,3)
+    for g in (
+        build_graph(4, [(0, 1), (1, 2)]),  # right count, (1,2) not inverted
+        build_graph(4, [(0, 1)]),  # (2,3) missing
+        build_graph(5, [(0, 1), (2, 3)]),  # extra vertex
+    ):
+        with pytest.raises(PermutationError, match="does not match"):
+            trapezoid_model(d, g)
 
 
 def test_trapezoids_intersect_is_symmetric_on_cases():
@@ -86,17 +105,52 @@ def test_greedy_coloring_examples():
     assert greedy_trapezoid_coloring([]).palette_size == 0
 
 
+def _tightest_fit_reference(traps):
+    """The sweep's class choice by scanning every open class, O(m * k)."""
+    order = sorted(traps, key=lambda t: (t.top_lo, t.bot_lo, t.edge_index))
+    ftop, fbot = [], []
+    colors = [0] * len(traps)
+    for t in order:
+        fits = [c for c in range(len(ftop)) if ftop[c] < t.top_lo and fbot[c] < t.bot_lo]
+        if fits:
+            c = max(fits, key=lambda c: (fbot[c], -c))
+        else:
+            c = len(ftop)
+            ftop.append(0)
+            fbot.append(0)
+        ftop[c], fbot[c] = t.top_hi, t.bot_hi
+        colors[t.edge_index] = c
+    return StrongEdgeColoring.from_colors(colors)
+
+
+def test_sweep_matches_the_class_scanning_reference():
+    rng = random.Random(4)
+    for k in range(300):
+        n = rng.randint(0, 60)
+        pi = list(range(n))
+        if k % 2:
+            rng.shuffle(pi)
+        else:  # near-sorted: a few swaps of close positions
+            for _ in range(rng.randint(0, n)):
+                i = rng.randrange(n)
+                j = min(n - 1, i + rng.randint(1, 4))
+                pi[i], pi[j] = pi[j], pi[i]
+        d = PermutationDiagram(n, tuple(pi))
+        traps = trapezoid_model(d, permutation_graph(d))
+        assert greedy_trapezoid_coloring(traps) == _tightest_fit_reference(traps), pi
+
+
 def test_strong_color_permutation_examples():
-    assert strong_color_permutation(PermutationDiagram(3, (2, 1, 0))).palette_size == 3
-    assert strong_color_permutation(PermutationDiagram(3, (0, 1, 2))).palette_size == 0
-    assert strong_color_permutation(PermutationDiagram(4, (1, 0, 3, 2))).palette_size == 1
+    for pi, palette in (((2, 1, 0), 3), ((0, 1, 2), 0), ((1, 0, 3, 2), 1)):
+        d = PermutationDiagram(len(pi), pi)
+        assert strong_color_permutation(d, permutation_graph(d)).palette_size == palette
 
 
 def test_tightest_fit_handles_the_first_fit_counterexample():
     # Plain first-fit (always the lowest class index) spends 5 colors here;
     # the squared linegraph is 4-chromatic and tightest-fit finds 4.
     d = PermutationDiagram(7, (1, 2, 4, 0, 6, 5, 3))
-    coloring = strong_color_permutation(d)
+    coloring = strong_color_permutation(d, permutation_graph(d))
     g = permutation_graph(d)
     assert is_strong_edge_coloring(g, coloring)
     sq = square_of_linegraph(g).graph
@@ -122,7 +176,7 @@ def test_model_fidelity_against_squared_linegraph(d):
 
 @given(permutation_diagrams(max_n=12))
 def test_coloring_is_valid_and_clique_bounded(d):
-    coloring = strong_color_permutation(d)
+    coloring = strong_color_permutation(d, permutation_graph(d))
     g = permutation_graph(d)
     assert is_strong_edge_coloring(g, coloring)
     sq = square_of_linegraph(g).graph
@@ -131,7 +185,7 @@ def test_coloring_is_valid_and_clique_bounded(d):
 
 @given(permutation_diagrams(max_n=7))
 def test_palette_is_optimal_at_small_sizes(d):
-    coloring = strong_color_permutation(d)
+    coloring = strong_color_permutation(d, permutation_graph(d))
     sq = square_of_linegraph(permutation_graph(d)).graph
     assert coloring.palette_size == exact_chromatic_number(sq)
 
@@ -139,6 +193,6 @@ def test_palette_is_optimal_at_small_sizes(d):
 def test_sweep_matches_oracle_on_all_five_point_diagrams():
     for pi in itertools.permutations(range(5)):
         d = PermutationDiagram(5, pi)
-        palette = strong_color_permutation(d).palette_size
+        palette = strong_color_permutation(d, permutation_graph(d)).palette_size
         sq = square_of_linegraph(permutation_graph(d)).graph
         assert palette == exact_chromatic_number(sq), pi
