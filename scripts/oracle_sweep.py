@@ -13,7 +13,6 @@ Prints a summary and exits 1 on any disagreement.
 
 import argparse
 import time
-from dataclasses import dataclass
 
 from strongedge import (
     OracleReport,
@@ -29,26 +28,16 @@ from strongedge import (
 from strongedge.oracle import timed
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    count: int = 200
-    seed: int = 0
-    max_n: int = 12
-    depth: int = 4
-    leaf_size: int = 6
-    verbose: bool = False
-
-
-def run(config: SweepConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     reports: list[OracleReport] = []
     bad_witness = 0
-    seed = config.seed
+    seed = args.seed
     kept = 0
     t0 = time.perf_counter()
-    while kept < config.count:
-        tree = random_tree_cograph(seed, config.depth, config.leaf_size)
+    while kept < args.count:
+        tree = random_tree_cograph(seed, args.depth, args.leaf_size)
         seed += 1
-        if not 1 <= tree.n <= config.max_n:
+        if not 1 <= tree.n <= args.max_n:
             continue
         kept += 1
         g = realize(tree)
@@ -73,7 +62,7 @@ def run(config: SweepConfig) -> int:
     for r in disagreements:
         print(f"DISAGREE {r.instance} {r.prop}: "
               f"fast={r.fast_value} oracle={r.oracle_value}")
-    if config.verbose:
+    if args.verbose:
         for r in reports:
             print(f"{r.instance} {r.prop}: fast={r.fast_value} "
                   f"oracle={r.oracle_value} {r.verdict} ({r.elapsed:.3f}s)")
@@ -93,9 +82,7 @@ def main() -> int:
     parser.add_argument("--depth", type=int, default=4)
     parser.add_argument("--leaf-size", type=int, default=6)
     parser.add_argument("--verbose", action="store_true")
-    a = parser.parse_args()
-    return run(SweepConfig(a.count, a.seed, a.max_n, a.depth, a.leaf_size,
-                           a.verbose))
+    return run(parser.parse_args())
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict
 from pathlib import Path
 
 from .decomposition import (
@@ -49,35 +49,7 @@ from .permutation import (
 )
 from .strong_chromatic import sci, strong_coloring
 
-__all__ = ["RunConfig", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved CLI invocation: the command plus every knob it may read.
-
-    Fields not used by a given command keep their defaults; all randomness
-    flows from ``seed`` so reruns are reproducible.
-    """
-
-    command: str
-    input: str = "-"
-    json: bool = False
-    verify: bool = False
-    color: bool = False
-    seed: int = 0
-    mode: str = "auto"
-    budget: int = 10**6
-    depth: int = 3
-    leaf_size: int = 512
-    count: int = 1
-    repeats: int = 3
-    max_exp: int = 6
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in vars(args).items() if k in known})
+__all__ = ["main"]
 
 
 def _read_input(path: str) -> str:
@@ -365,9 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = RunConfig.from_args(args)
     try:
-        return args.func(config)
+        return args.func(args)
     except BudgetExceededError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3

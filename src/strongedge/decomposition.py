@@ -37,14 +37,23 @@ class DecompositionError(ValueError):
     """Raised for malformed or invalid decomposition documents."""
 
 
-@dataclass(eq=False)
-class TreeLeaf:
+@dataclass(frozen=True, eq=False)
+class _Leaf:
+    """A leaf over the tree t; constructing one checks that t is a tree."""
+
     t: Graph
 
+    def __post_init__(self):
+        if not isinstance(self.t, Graph) or not is_tree(self.t):
+            raise DecompositionError("leaf graph is not a tree")
 
-@dataclass(eq=False)
-class CotreeLeaf:
-    t: Graph  # the leaf graph is complement(t), never materialized here
+
+class TreeLeaf(_Leaf):
+    """The tree t itself."""
+
+
+class CotreeLeaf(_Leaf):
+    """The complement of t, a label never materialized here."""
 
 
 @dataclass(eq=False)
@@ -61,7 +70,6 @@ class UnionNode:
 
 DecompNode = TreeLeaf | CotreeLeaf | JoinNode | UnionNode
 
-_LEAF = (TreeLeaf, CotreeLeaf)
 _INTERNAL = (JoinNode, UnionNode)
 
 
@@ -79,58 +87,64 @@ def _cotree_m(n: int) -> int:
     return n * (n - 1) // 2 - (n - 1)
 
 
-def _compute_summaries(root: DecompNode) -> dict[DecompNode, NodeSummary]:
-    # Post-order for sizes; traversal is iterative throughout this module
-    # because normalized k-ary inputs produce arbitrarily deep chains.
-    sizes: dict[DecompNode, tuple[int, int]] = {}
-    seen: set[int] = set()
-    stack: list[tuple[DecompNode, bool]] = [(root, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            nl, ml = sizes[node.left]
-            nr, mr = sizes[node.right]
-            if isinstance(node, JoinNode):
-                sizes[node] = (nl + nr, ml + mr + nl * nr)
-            else:
-                sizes[node] = (nl + nr, ml + mr)
-            continue
-        if id(node) in seen:
-            raise DecompositionError("node appears more than once in the tree")
-        seen.add(id(node))
-        if isinstance(node, _LEAF):
-            t = node.t
-            if not isinstance(t, Graph) or not is_tree(t):
-                raise DecompositionError("leaf graph is not a tree")
-            sizes[node] = (t.n, t.m if isinstance(node, TreeLeaf) else _cotree_m(t.n))
-        elif isinstance(node, _INTERNAL):
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-        else:
-            raise DecompositionError(f"not a decomposition node: {node!r}")
-
-    # Pre-order for global vertex offsets.
-    summaries: dict[DecompNode, NodeSummary] = {}
-    offs: list[tuple[DecompNode, int]] = [(root, 0)]
-    while offs:
-        node, off = offs.pop()
-        n, m = sizes[node]
-        summaries[node] = NodeSummary(n, m, off)
-        if isinstance(node, _INTERNAL):
-            offs.append((node.right, off + sizes[node.left][0]))
-            offs.append((node.left, off))
-    return summaries
-
-
 class DecompositionTree:
-    """A validated decomposition tree with per-node size summaries."""
+    """A validated decomposition tree with per-node size summaries.
 
-    __slots__ = ("root", "summaries")
+    ``order`` lists the nodes in post-order (left subtree, right subtree,
+    node), so a bottom-up fold over the tree is one loop over it and a
+    top-down pass one loop over ``reversed(order)``.  The walk that builds
+    it is iterative because normalized k-ary inputs produce arbitrarily
+    deep chains.
+    """
+
+    __slots__ = ("root", "order", "summaries")
 
     def __init__(self, root: DecompNode):
+        # Visiting node, right subtree, left subtree and reversing the
+        # visit gives the post-order.
+        order: list[DecompNode] = []
+        seen: set[int] = set()
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                raise DecompositionError("node appears more than once in the tree")
+            seen.add(id(node))
+            if isinstance(node, _INTERNAL):
+                stack.append(node.left)
+                stack.append(node.right)
+            elif not isinstance(node, _Leaf):
+                raise DecompositionError(f"not a decomposition node: {node!r}")
+            order.append(node)
+        order.reverse()
+
+        sizes: dict[DecompNode, tuple[int, int]] = {}
+        for node in order:
+            if isinstance(node, TreeLeaf):
+                sizes[node] = (node.t.n, node.t.m)
+            elif isinstance(node, CotreeLeaf):
+                sizes[node] = (node.t.n, _cotree_m(node.t.n))
+            else:
+                nl, ml = sizes[node.left]
+                nr, mr = sizes[node.right]
+                m = ml + mr + nl * nr if isinstance(node, JoinNode) else ml + mr
+                sizes[node] = (nl + nr, m)
+
+        # Left subtree ids precede right subtree ids.  reversed(order) is
+        # node, right subtree, left subtree, so the right child's offset,
+        # pushed last, is the next one popped.
+        summaries: dict[DecompNode, NodeSummary] = {}
+        offsets = [0]
+        for node in reversed(order):
+            off = offsets.pop()
+            n, m = sizes[node]
+            summaries[node] = NodeSummary(n, m, off)
+            if isinstance(node, _INTERNAL):
+                offsets.append(off)
+                offsets.append(off + sizes[node.left][0])
         self.root = root
-        self.summaries = _compute_summaries(root)
+        self.order = order
+        self.summaries = summaries
 
     @property
     def n(self) -> int:
@@ -226,11 +240,9 @@ def _leaf_from_obj(obj: dict, path: str) -> DecompNode:
         pairs.append((e[0], e[1]))
     try:
         t = build_graph(n, pairs)
-    except GraphError as exc:
+        return TreeLeaf(t) if obj["type"] == "tree" else CotreeLeaf(t)
+    except (GraphError, DecompositionError) as exc:
         raise DecompositionError(f"{path}: {exc}") from None
-    if not is_tree(t):
-        raise DecompositionError(f"{path}: leaf graph is not a tree")
-    return TreeLeaf(t) if obj["type"] == "tree" else CotreeLeaf(t)
 
 
 def serialize_decomposition(tree: DecompositionTree) -> str:
@@ -248,7 +260,7 @@ def serialize_decomposition(tree: DecompositionTree) -> str:
         item = stack.pop()
         if isinstance(item, str):
             out.append(item)
-        elif isinstance(item, _LEAF):
+        elif isinstance(item, _Leaf):
             kind = "tree" if isinstance(item, TreeLeaf) else "cotree"
             doc = {"type": kind, "n": item.t.n, "edges": [list(e) for e in item.t.edges]}
             out.append(json.dumps(doc, separators=(",", ":")))
@@ -276,9 +288,7 @@ def realize(tree: DecompositionTree) -> Graph:
     """
     summaries = tree.summaries
     edges: list[tuple[int, int]] = []
-    stack: list[tuple[DecompNode, bool]] = [(tree.root, False)]
-    while stack:
-        node, done = stack.pop()
+    for node in tree.order:
         if isinstance(node, TreeLeaf):
             off = summaries[node].global_offset
             edges.extend((u + off, v + off) for u, v in node.t.edges)
@@ -290,17 +300,12 @@ def realize(tree: DecompositionTree) -> Graph:
                 for v in range(u + 1, t.n):
                     if (u, v) not in present:
                         edges.append((u + off, v + off))
-        elif done:
-            if isinstance(node, JoinNode):
-                sl = summaries[node.left]
-                sr = summaries[node.right]
-                for u in range(sl.global_offset, sl.global_offset + sl.n):
-                    for v in range(sr.global_offset, sr.global_offset + sr.n):
-                        edges.append((u, v))
-        else:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
+        elif isinstance(node, JoinNode):
+            sl = summaries[node.left]
+            sr = summaries[node.right]
+            for u in range(sl.global_offset, sl.global_offset + sl.n):
+                for v in range(sr.global_offset, sr.global_offset + sr.n):
+                    edges.append((u, v))
     return build_graph(summaries[tree.root].n, edges)
 
 

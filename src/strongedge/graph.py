@@ -134,7 +134,10 @@ def square_of_linegraph(g: Graph) -> SquaredLinegraph:
         incident[u].append(idx)
         incident[v].append(idx)
 
+    # Each pair is found once, as (idx, other) with idx < other, so the
+    # square's Graph is built directly rather than revalidated.
     sq_edges: list[tuple[int, int]] = []
+    sq_adj: list[list[int]] = [[] for _ in range(m)]
     mark = [-1] * m
     for idx, (u, v) in enumerate(g.edges):
         centers = {u, v}
@@ -145,7 +148,9 @@ def square_of_linegraph(g: Graph) -> SquaredLinegraph:
                 if other > idx and mark[other] != idx:
                     mark[other] = idx
                     sq_edges.append((idx, other))
-    return SquaredLinegraph(build_graph(m, sq_edges), g)
+                    sq_adj[idx].append(other)
+                    sq_adj[other].append(idx)
+    return SquaredLinegraph(Graph(m, sq_edges, sq_adj), g)
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decomposition import (
-    CotreeLeaf,
-    DecompNode,
-    DecompositionTree,
-    JoinNode,
-    TreeLeaf,
-    UnionNode,
-)
+from .decomposition import CotreeLeaf, DecompositionTree, TreeLeaf, UnionNode
 from .graph import Graph, GraphError, is_tree
 
 __all__ = ["InducedMatchingResult", "im", "im_value", "im_tree", "im_tree_value"]
@@ -44,8 +37,9 @@ def _tree_dp(t: Graph):
     s2: v matched to one child, which must be in s0, its siblings unmatched.
 
     s1 >= s0 everywhere, so "child unmatched" always contributes s1(child).
-    Returns (parent, order, s0, s1, s2, partner); answer is max(s1, s2) at
-    the root.  Iterative, so million-vertex paths are fine.
+    Returns (parent, s0, s1, s2, partner); answer is max(s1, s2) at the
+    root.  Iterative, so million-vertex paths are fine.  t must be a tree;
+    the caller checks.
     """
     n = t.n
     adj = t.adj
@@ -97,6 +91,10 @@ def im_tree_value(t: Graph) -> int:
     """iv of a tree, value only, O(n)."""
     if not is_tree(t):
         raise GraphError("input is not a tree")
+    return _im_tree_value(t)
+
+
+def _im_tree_value(t: Graph) -> int:
     _, _, s1, s2, _ = _tree_dp(t)
     return max(s1[0], s2[0])
 
@@ -105,6 +103,10 @@ def im_tree(t: Graph) -> tuple[int, list[tuple[int, int]]]:
     """iv of a tree with a witness matching (local vertex pairs), O(n)."""
     if not is_tree(t):
         raise GraphError("input is not a tree")
+    return _im_tree(t)
+
+
+def _im_tree(t: Graph) -> tuple[int, list[tuple[int, int]]]:
     parent, s0, s1, s2, partner = _tree_dp(t)
     value = max(s1[0], s2[0])
     pairs: list[tuple[int, int]] = []
@@ -147,65 +149,62 @@ def _cotree_witness(t: Graph, off: int) -> list[tuple[int, int]]:
 
 def im_value(tree: DecompositionTree) -> int:
     """iv of the represented graph; linear in leaf sizes + tree size."""
-    vals: dict[DecompNode, int] = {}
-    stack: list[tuple[DecompNode, bool]] = [(tree.root, False)]
-    while stack:
-        node, done = stack.pop()
+    vals: list[int] = []
+    for node in tree.order:
         if isinstance(node, TreeLeaf):
-            vals[node] = im_tree_value(node.t)
+            vals.append(_im_tree_value(node.t))
         elif isinstance(node, CotreeLeaf):
-            vals[node] = _cotree_value(node.t.n)
-        elif done:
-            left = vals[node.left]
-            right = vals[node.right]
-            if isinstance(node, UnionNode):
-                vals[node] = left + right
-            else:
-                vals[node] = max(left, right, 1)
+            vals.append(_cotree_value(node.t.n))
         else:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-    return vals[tree.root]
+            right = vals.pop()
+            left = vals.pop()
+            if isinstance(node, UnionNode):
+                vals.append(left + right)
+            else:
+                vals.append(max(left, right, 1))
+    return vals.pop()
 
 
 def im(tree: DecompositionTree) -> InducedMatchingResult:
     """iv of the represented graph with a witness over global vertex ids.
 
     Join tie-break is fixed: prefer the left child's witness, then the
-    right child's, then the lexicographically first cross edge.  Witness
-    lists are reused (extended in place) across union nodes, keeping the
-    whole fold linear.
+    right child's, then the lexicographically first cross edge.  A union
+    pairs its children's witnesses instead of concatenating them, and one
+    pass at the end flattens the pairs left to right, so the fold is
+    linear whatever the tree's shape.
     """
-    acc: dict[DecompNode, tuple[int, list[tuple[int, int]]]] = {}
-    stack: list[tuple[DecompNode, bool]] = [(tree.root, False)]
-    while stack:
-        node, done = stack.pop()
+    acc: list[tuple[int, list | tuple]] = []
+    for node in tree.order:
         if isinstance(node, TreeLeaf):
             off = tree.summary(node).global_offset
-            value, local = im_tree(node.t)
-            acc[node] = (value, [(u + off, v + off) for u, v in local])
+            value, local = _im_tree(node.t)
+            acc.append((value, [(u + off, v + off) for u, v in local]))
         elif isinstance(node, CotreeLeaf):
             value = _cotree_value(node.t.n)
             off = tree.summary(node).global_offset
-            acc[node] = (value, _cotree_witness(node.t, off) if value else [])
-        elif done:
-            lv, lw = acc.pop(node.left)
-            rv, rw = acc.pop(node.right)
+            acc.append((value, _cotree_witness(node.t, off) if value else []))
+        else:
+            rv, rw = acc.pop()
+            lv, lw = acc.pop()
             if isinstance(node, UnionNode):
-                lw.extend(rw)
-                acc[node] = (lv + rv, lw)
+                acc.append((lv + rv, (lw, rw)))
             elif lv >= max(rv, 1):
-                acc[node] = (lv, lw)
+                acc.append((lv, lw))
             elif rv >= 1:
-                acc[node] = (rv, rw)
+                acc.append((rv, rw))
             else:
                 off_l = tree.summary(node.left).global_offset
                 off_r = tree.summary(node.right).global_offset
-                acc[node] = (1, [(off_l, off_r)])
+                acc.append((1, [(off_l, off_r)]))
+    value, parts = acc.pop()
+    witness: list[tuple[int, int]] = []
+    stack = [parts]
+    while stack:
+        part = stack.pop()
+        if isinstance(part, tuple):
+            stack.append(part[1])
+            stack.append(part[0])
         else:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-    value, witness = acc[tree.root]
+            witness.extend(part)
     return InducedMatchingResult(value, tuple(witness))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import heapq
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph, StrongEdgeColoring, build_graph
 
@@ -93,9 +94,10 @@ def _count_inversions(pi: tuple[int, ...]) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class Trapezoid:
-    """Intervals spanned by one edge on the two diagram lines."""
+class Trapezoid(NamedTuple):
+    """Intervals spanned by one edge on the two diagram lines.  A named
+    tuple because the model builds one per edge, and tuples are cheap to
+    construct."""
 
     top_lo: int
     top_hi: int

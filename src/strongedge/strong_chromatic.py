@@ -38,6 +38,10 @@ def sci_tree(t: Graph) -> int:
     """Strong chromatic index of a tree: max over edges of d(x)+d(y)-1."""
     if not is_tree(t):
         raise GraphError("input is not a tree")
+    return _sci_tree(t)
+
+
+def _sci_tree(t: Graph) -> int:
     if t.m == 0:
         return 0
     deg = list(map(len, t.adj))
@@ -55,26 +59,17 @@ def sci_cotree(n: int) -> int:
 def sci(tree: DecompositionTree) -> SChiResult:
     """Bottom-up strong chromatic index; linear in leaf sizes + tree size."""
     per_node: dict[DecompNode, int] = {}
-    stack: list[tuple[DecompNode, bool]] = [(tree.root, False)]
-    while stack:
-        node, done = stack.pop()
+    for node in tree.order:
         if isinstance(node, TreeLeaf):
-            per_node[node] = sci_tree(node.t)
+            per_node[node] = _sci_tree(node.t)
         elif isinstance(node, CotreeLeaf):
             per_node[node] = sci_cotree(node.t.n)
-        elif done:
-            kl = per_node[node.left]
-            kr = per_node[node.right]
-            if isinstance(node, JoinNode):
-                nl = tree.summary(node.left).n
-                nr = tree.summary(node.right).n
-                per_node[node] = nl * nr + kl + kr
-            else:
-                per_node[node] = max(kl, kr)
+        elif isinstance(node, JoinNode):
+            nl = tree.summary(node.left).n
+            nr = tree.summary(node.right).n
+            per_node[node] = nl * nr + per_node[node.left] + per_node[node.right]
         else:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
+            per_node[node] = max(per_node[node.left], per_node[node.right])
     return SChiResult(per_node[tree.root], per_node)
 
 
@@ -94,35 +89,27 @@ def strong_coloring(tree: DecompositionTree) -> StrongEdgeColoring:
     Palette layout per node: a union lets both children reuse the same color
     range (their components never conflict); a join keeps the left child's
     range, shifts the right child's range past it, and gives the cross edges
-    fresh colors after both.  Edge indices follow the canonical realize
-    order, so colors are written straight into one flat array; the result is
+    fresh colors after both.  The ranges are set top-down; colors are then
+    emitted in post-order, which is the canonical realize edge order, and
     relabeled to first-use order.
     """
-    res = sci(tree)
-    per = res.per_node
-    colors = [0] * tree.m
-    # (node, first color of its range, first edge index of its block)
-    stack: list[tuple[DecompNode, int, int]] = [(tree.root, 0, 0)]
-    while stack:
-        node, base, e_lo = stack.pop()
+    per = sci(tree).per_node
+    base = {tree.root: 0}
+    for node in reversed(tree.order):
+        if isinstance(node, JoinNode):
+            base[node.left] = base[node]
+            base[node.right] = base[node] + per[node.left]
+        elif isinstance(node, UnionNode):
+            base[node.left] = base[node.right] = base[node]
+    colors: list[int] = []
+    for node in tree.order:
+        b = base[node]
         if isinstance(node, TreeLeaf):
-            for i, c in enumerate(_tree_leaf_coloring(node.t)):
-                colors[e_lo + i] = base + c
+            colors.extend(b + c for c in _tree_leaf_coloring(node.t))
         elif isinstance(node, CotreeLeaf):
-            for i in range(tree.summary(node).m):
-                colors[e_lo + i] = base + i
-        else:
-            sl = tree.summary(node.left)
-            sr = tree.summary(node.right)
-            if isinstance(node, JoinNode):
-                kl = per[node.left]
-                kr = per[node.right]
-                cross_lo = e_lo + sl.m + sr.m
-                cross_base = base + kl + kr
-                for i in range(sl.n * sr.n):
-                    colors[cross_lo + i] = cross_base + i
-                stack.append((node.right, base + kl, e_lo + sl.m))
-            else:
-                stack.append((node.right, base, e_lo + sl.m))
-            stack.append((node.left, base, e_lo))
+            colors.extend(range(b, b + tree.summary(node).m))
+        elif isinstance(node, JoinNode):
+            cross_base = b + per[node.left] + per[node.right]
+            n_cross = tree.summary(node.left).n * tree.summary(node.right).n
+            colors.extend(range(cross_base, cross_base + n_cross))
     return StrongEdgeColoring.from_colors(colors)

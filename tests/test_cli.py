@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from strongedge.cli import RunConfig, build_parser, main
+from strongedge.cli import build_parser, main
 
 JOIN_K2_K2 = json.dumps({
     "type": "join",
@@ -166,13 +166,13 @@ def test_bench_output_shape(capsys):
 
 
 def test_run_config_from_args():
+    """The parsed namespace is the run configuration the commands read."""
     parser = build_parser()
-    cfg = RunConfig.from_args(parser.parse_args(["sci", "--json"]))
-    assert cfg.command == "sci" and cfg.json is True
-    assert cfg.input == "-" and cfg.seed == 0 and cfg.budget == 10**6
+    args = parser.parse_args(["sci", "--json"])
+    assert args.command == "sci" and args.json is True and args.input == "-"
 
-    cfg2 = RunConfig.from_args(parser.parse_args(["gen", "--leaf-size", "9"]))
-    assert cfg2.command == "gen" and cfg2.leaf_size == 9 and cfg2.depth == 3
+    args = parser.parse_args(["gen", "--leaf-size", "9"])
+    assert args.command == "gen" and args.leaf_size == 9 and args.depth == 3
 
     with pytest.raises(SystemExit):
         parser.parse_args(["no-such-command"])

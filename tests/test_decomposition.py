@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -14,12 +15,16 @@ from strongedge import (
     UnionNode,
     build_graph,
     complement,
+    im,
+    im_value,
     is_tree,
     parse_decomposition,
     random_labeled_tree,
     random_tree_cograph,
     realize,
+    sci,
     serialize_decomposition,
+    strong_coloring,
     tree_from_prufer,
 )
 
@@ -124,6 +129,70 @@ def test_node_aliasing_is_rejected():
     leaf = TreeLeaf(build_graph(2, [(0, 1)]))
     with pytest.raises(DecompositionError, match="more than once"):
         DecompositionTree(UnionNode(leaf, leaf))
+
+
+def test_non_nodes_are_rejected():
+    leaf = TreeLeaf(build_graph(2, [(0, 1)]))
+    with pytest.raises(DecompositionError, match="not a decomposition node"):
+        DecompositionTree(UnionNode(leaf, "leaf"))
+
+
+def test_leaves_check_their_tree_at_construction():
+    triangle = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+    forest = build_graph(4, [(0, 1), (2, 3)])
+    for cls, t in ((TreeLeaf, triangle), (CotreeLeaf, forest), (TreeLeaf, "not a graph")):
+        with pytest.raises(DecompositionError, match="leaf graph is not a tree"):
+            cls(t)
+
+
+def test_each_leaf_is_checked_once(monkeypatch):
+    text = serialize_decomposition(random_tree_cograph(10, 4, 6))
+    real = is_tree
+    calls = []
+
+    def counting_is_tree(t):
+        calls.append(t)
+        return real(t)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "strongedge" and getattr(module, "is_tree", None) is real:
+            monkeypatch.setattr(module, "is_tree", counting_is_tree)
+    tree = parse_decomposition(text)
+    sci(tree)
+    im_value(tree)
+    im(tree)
+    strong_coloring(tree)
+    leaves = [node for node in tree.order if isinstance(node, (TreeLeaf, CotreeLeaf))]
+    assert {type(leaf) for leaf in leaves} == {TreeLeaf, CotreeLeaf}
+    assert len(calls) == len(leaves)
+
+
+def _postorder(node):
+    if isinstance(node, (TreeLeaf, CotreeLeaf)):
+        return [node]
+    return _postorder(node.left) + _postorder(node.right) + [node]
+
+
+@given(decomposition_trees())
+def test_order_lists_each_node_once_children_first(t):
+    # post-order puts every child before its parent
+    assert t.order == _postorder(t.root)
+    assert len({id(node) for node in t.order}) == len(t.order)
+
+
+def test_folds_run_on_hand_built_chains_10_5_deep():
+    k2 = build_graph(2, [(0, 1)])
+    depth = 10**5
+    for leftward in (True, False):
+        node = TreeLeaf(k2)
+        for _ in range(depth):
+            leaf = TreeLeaf(k2)
+            node = UnionNode(node, leaf) if leftward else UnionNode(leaf, node)
+        t = DecompositionTree(node)
+        assert len(t.order) == 2 * depth + 1
+        assert sci(t).value == 1
+        assert im(t).value == depth + 1
+        assert realize(t).m == depth + 1
 
 
 def test_serialized_form_is_canonical_json():

@@ -171,6 +171,15 @@ def test_square_matches_bfs_reference(g):
 
 
 @given(graphs())
+def test_square_graph_is_what_build_graph_makes(g):
+    # the square is built without build_graph's checks, so its edge list
+    # must already pass them and yield the same adjacency
+    sq = square_of_linegraph(g).graph
+    ref = build_graph(g.m, sq.edges)
+    assert sq.n == ref.n and sq.edges == ref.edges and sq.adj == ref.adj
+
+
+@given(graphs())
 def test_complement_is_an_involution(g):
     cc = complement(complement(g))
     assert cc.n == g.n and cc.edge_set() == g.edge_set()

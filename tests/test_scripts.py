@@ -1,0 +1,33 @@
+"""Smoke tests: each experiment script runs to completion on tiny inputs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("oracle_sweep.py", ["--count", "5", "--max-n", "8"]),
+        ("tree_square_survey.py", ["--max-n", "5", "--exhaustive-limit", "5", "--samples", "20"]),
+        ("greedy_order_experiment.py", ["--max-exhaustive", "4", "--samples", "5", "--sample-n", "6"]),
+    ],
+)
+def test_script_exits_zero(script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
