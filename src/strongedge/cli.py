@@ -70,6 +70,11 @@ def _fail_verification(message: str) -> int:
     return 1
 
 
+def _input_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_sci(args) -> int:
     tree = parse_decomposition(_read_input(args.input))
     result = sci(tree)
@@ -212,6 +217,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.depth < 0:
+        return _input_error(f"--depth must be >= 0, got {args.depth}")
+    if args.leaf_size < 1:
+        return _input_error(f"--leaf-size must be >= 1, got {args.leaf_size}")
     rng = random.Random(args.seed)
     for _ in range(args.count):
         tree = random_tree_cograph(rng.getrandbits(63), args.depth, args.leaf_size)
@@ -238,6 +247,8 @@ def _bench_instance(total_n: int, leaf_size: int, rng: random.Random) -> Decompo
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        return _input_error(f"--repeats must be >= 1, got {args.repeats}")
     rng = random.Random(args.seed)
     sizes = [10**e for e in range(4, args.max_exp + 1)]
     results = []
@@ -342,9 +353,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
-    except (GraphError, DecompositionError, PermutationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (
+        GraphError, DecompositionError, PermutationError, OSError, UnicodeDecodeError
+    ) as exc:
+        return _input_error(str(exc))

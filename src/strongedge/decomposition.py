@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 
 from .graph import Graph, GraphError, build_graph, is_tree
 
@@ -22,7 +23,6 @@ __all__ = [
     "CotreeLeaf",
     "JoinNode",
     "UnionNode",
-    "NodeSummary",
     "DecompositionTree",
     "parse_decomposition",
     "serialize_decomposition",
@@ -47,48 +47,65 @@ class _Leaf:
         if not isinstance(self.t, Graph) or not is_tree(self.t):
             raise DecompositionError("leaf graph is not a tree")
 
+    @property
+    def n(self) -> int:
+        return self.t.n
+
 
 class TreeLeaf(_Leaf):
     """The tree t itself."""
+
+    @property
+    def m(self) -> int:
+        return self.t.m
 
 
 class CotreeLeaf(_Leaf):
     """The complement of t, a label never materialized here."""
 
+    @property
+    def m(self) -> int:
+        # all pairs less the n - 1 tree edges
+        n = self.t.n
+        return n * (n - 1) // 2 - (n - 1)
 
-@dataclass(eq=False)
-class JoinNode:
+
+@dataclass(frozen=True, eq=False)
+class _Internal:
+    """An operation over two subtrees; its n and m are set once, from the
+    children's, when it is constructed."""
+
     left: "DecompNode"
     right: "DecompNode"
+    n: int = field(init=False)
+    m: int = field(init=False)
+
+    def __post_init__(self):
+        for child in (self.left, self.right):
+            if not isinstance(child, _NODES):
+                raise DecompositionError(f"not a decomposition node: {child!r}")
+        m = self.left.m + self.right.m
+        if isinstance(self, JoinNode):
+            m += self.left.n * self.right.n
+        object.__setattr__(self, "n", self.left.n + self.right.n)
+        object.__setattr__(self, "m", m)
 
 
-@dataclass(eq=False)
-class UnionNode:
-    left: "DecompNode"
-    right: "DecompNode"
+class JoinNode(_Internal):
+    """Every vertex of the left subtree adjacent to every vertex of the right."""
+
+
+class UnionNode(_Internal):
+    """The disjoint union of the two subtrees."""
 
 
 DecompNode = TreeLeaf | CotreeLeaf | JoinNode | UnionNode
 
-_INTERNAL = (JoinNode, UnionNode)
-
-
-@dataclass(frozen=True)
-class NodeSummary:
-    """Size of the graph a subtree represents, plus where its vertices live
-    in the global id space (left subtree ids precede right subtree ids)."""
-
-    n: int
-    m: int
-    global_offset: int
-
-
-def _cotree_m(n: int) -> int:
-    return n * (n - 1) // 2 - (n - 1)
+_NODES = (_Leaf, _Internal)
 
 
 class DecompositionTree:
-    """A validated decomposition tree with per-node size summaries.
+    """A validated decomposition tree: its root and its nodes in post-order.
 
     ``order`` lists the nodes in post-order (left subtree, right subtree,
     node), so a bottom-up fold over the tree is one loop over it and a
@@ -97,9 +114,11 @@ class DecompositionTree:
     deep chains.
     """
 
-    __slots__ = ("root", "order", "summaries")
+    __slots__ = ("root", "order")
 
     def __init__(self, root: DecompNode):
+        if not isinstance(root, _NODES):
+            raise DecompositionError(f"not a decomposition node: {root!r}")
         # Visiting node, right subtree, left subtree and reversing the
         # visit gives the post-order.
         order: list[DecompNode] = []
@@ -110,52 +129,36 @@ class DecompositionTree:
             if id(node) in seen:
                 raise DecompositionError("node appears more than once in the tree")
             seen.add(id(node))
-            if isinstance(node, _INTERNAL):
+            if isinstance(node, _Internal):
                 stack.append(node.left)
                 stack.append(node.right)
-            elif not isinstance(node, _Leaf):
-                raise DecompositionError(f"not a decomposition node: {node!r}")
             order.append(node)
         order.reverse()
-
-        sizes: dict[DecompNode, tuple[int, int]] = {}
-        for node in order:
-            if isinstance(node, TreeLeaf):
-                sizes[node] = (node.t.n, node.t.m)
-            elif isinstance(node, CotreeLeaf):
-                sizes[node] = (node.t.n, _cotree_m(node.t.n))
-            else:
-                nl, ml = sizes[node.left]
-                nr, mr = sizes[node.right]
-                m = ml + mr + nl * nr if isinstance(node, JoinNode) else ml + mr
-                sizes[node] = (nl + nr, m)
-
-        # Left subtree ids precede right subtree ids.  reversed(order) is
-        # node, right subtree, left subtree, so the right child's offset,
-        # pushed last, is the next one popped.
-        summaries: dict[DecompNode, NodeSummary] = {}
-        offsets = [0]
-        for node in reversed(order):
-            off = offsets.pop()
-            n, m = sizes[node]
-            summaries[node] = NodeSummary(n, m, off)
-            if isinstance(node, _INTERNAL):
-                offsets.append(off)
-                offsets.append(off + sizes[node.left][0])
         self.root = root
         self.order = order
-        self.summaries = summaries
 
     @property
     def n(self) -> int:
-        return self.summaries[self.root].n
+        return self.root.n
 
     @property
     def m(self) -> int:
-        return self.summaries[self.root].m
+        return self.root.m
 
-    def summary(self, node: DecompNode) -> NodeSummary:
-        return self.summaries[node]
+    def placed(self) -> Iterator[tuple[DecompNode, int]]:
+        """Yield ``(node, offset)`` in post-order, where ``offset`` is the
+        first of the consecutive global vertex ids of the node's graph.
+
+        Leaves take consecutive id blocks in the order visited, so left
+        subtree ids precede right subtree ids: a node starts at the leaf
+        total so far less its own n, and a join's right child at
+        ``offset + node.left.n``.
+        """
+        total = 0
+        for node in self.order:
+            if isinstance(node, _Leaf):
+                total += node.n
+            yield node, total - node.n
 
     def __repr__(self) -> str:
         return f"DecompositionTree(n={self.n}, m={self.m})"
@@ -238,6 +241,10 @@ def _leaf_from_obj(obj: dict, path: str) -> DecompNode:
         if not (isinstance(e, list) and len(e) == 2 and all(map(_plain_int, e))):
             raise DecompositionError(f"{path}.edges[{i}]: expected a pair of integers")
         pairs.append((e[0], e[1]))
+    # Checked before build_graph, which allocates n adjacency lists: an
+    # edgeless leaf with a huge n is a few bytes of document.
+    if len(pairs) != n - 1:
+        raise DecompositionError(f"{path}: leaf graph is not a tree")
     try:
         t = build_graph(n, pairs)
         return TreeLeaf(t) if obj["type"] == "tree" else CotreeLeaf(t)
@@ -286,14 +293,11 @@ def realize(tree: DecompositionTree) -> Graph:
     input edge order; cotree leaves list nonedges lexicographically.
     Quadratic in the output size, so verification-scale only.
     """
-    summaries = tree.summaries
     edges: list[tuple[int, int]] = []
-    for node in tree.order:
+    for node, off in tree.placed():
         if isinstance(node, TreeLeaf):
-            off = summaries[node].global_offset
             edges.extend((u + off, v + off) for u, v in node.t.edges)
         elif isinstance(node, CotreeLeaf):
-            off = summaries[node].global_offset
             t = node.t
             present = t.edge_set()
             for u in range(t.n):
@@ -301,12 +305,11 @@ def realize(tree: DecompositionTree) -> Graph:
                     if (u, v) not in present:
                         edges.append((u + off, v + off))
         elif isinstance(node, JoinNode):
-            sl = summaries[node.left]
-            sr = summaries[node.right]
-            for u in range(sl.global_offset, sl.global_offset + sl.n):
-                for v in range(sr.global_offset, sr.global_offset + sr.n):
+            mid = off + node.left.n
+            for u in range(off, mid):
+                for v in range(mid, off + node.n):
                     edges.append((u, v))
-    return build_graph(summaries[tree.root].n, edges)
+    return build_graph(tree.n, edges)
 
 
 def tree_from_prufer(n: int, seq: list[int]) -> Graph:

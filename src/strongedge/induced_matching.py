@@ -132,10 +132,6 @@ def _im_tree(t: Graph) -> tuple[int, list[tuple[int, int]]]:
     return value, pairs
 
 
-def _cotree_value(n: int) -> int:
-    return 1 if n * (n - 1) // 2 - (n - 1) > 0 else 0
-
-
 def _cotree_witness(t: Graph, off: int) -> list[tuple[int, int]]:
     """Lexicographically smallest nonedge of the tree t, shifted to global
     ids; only called when one exists (n >= 3)."""
@@ -154,7 +150,7 @@ def im_value(tree: DecompositionTree) -> int:
         if isinstance(node, TreeLeaf):
             vals.append(_im_tree_value(node.t))
         elif isinstance(node, CotreeLeaf):
-            vals.append(_cotree_value(node.t.n))
+            vals.append(min(node.m, 1))
         else:
             right = vals.pop()
             left = vals.pop()
@@ -175,14 +171,12 @@ def im(tree: DecompositionTree) -> InducedMatchingResult:
     linear whatever the tree's shape.
     """
     acc: list[tuple[int, list | tuple]] = []
-    for node in tree.order:
+    for node, off in tree.placed():
         if isinstance(node, TreeLeaf):
-            off = tree.summary(node).global_offset
             value, local = _im_tree(node.t)
             acc.append((value, [(u + off, v + off) for u, v in local]))
         elif isinstance(node, CotreeLeaf):
-            value = _cotree_value(node.t.n)
-            off = tree.summary(node).global_offset
+            value = min(node.m, 1)
             acc.append((value, _cotree_witness(node.t, off) if value else []))
         else:
             rv, rw = acc.pop()
@@ -194,9 +188,7 @@ def im(tree: DecompositionTree) -> InducedMatchingResult:
             elif rv >= 1:
                 acc.append((rv, rw))
             else:
-                off_l = tree.summary(node.left).global_offset
-                off_r = tree.summary(node.right).global_offset
-                acc.append((1, [(off_l, off_r)]))
+                acc.append((1, [(off, off + node.left.n)]))
     value, parts = acc.pop()
     witness: list[tuple[int, int]] = []
     stack = [parts]

@@ -63,11 +63,11 @@ def sci(tree: DecompositionTree) -> SChiResult:
         if isinstance(node, TreeLeaf):
             per_node[node] = _sci_tree(node.t)
         elif isinstance(node, CotreeLeaf):
-            per_node[node] = sci_cotree(node.t.n)
+            # L(complement of t)^2 is a clique: one color per edge
+            per_node[node] = node.m
         elif isinstance(node, JoinNode):
-            nl = tree.summary(node.left).n
-            nr = tree.summary(node.right).n
-            per_node[node] = nl * nr + per_node[node.left] + per_node[node.right]
+            cross = node.left.n * node.right.n
+            per_node[node] = cross + per_node[node.left] + per_node[node.right]
         else:
             per_node[node] = max(per_node[node.left], per_node[node.right])
     return SChiResult(per_node[tree.root], per_node)
@@ -107,9 +107,8 @@ def strong_coloring(tree: DecompositionTree) -> StrongEdgeColoring:
         if isinstance(node, TreeLeaf):
             colors.extend(b + c for c in _tree_leaf_coloring(node.t))
         elif isinstance(node, CotreeLeaf):
-            colors.extend(range(b, b + tree.summary(node).m))
+            colors.extend(range(b, b + node.m))
         elif isinstance(node, JoinNode):
             cross_base = b + per[node.left] + per[node.right]
-            n_cross = tree.summary(node.left).n * tree.summary(node.right).n
-            colors.extend(range(cross_base, cross_base + n_cross))
+            colors.extend(range(cross_base, cross_base + node.left.n * node.right.n))
     return StrongEdgeColoring.from_colors(colors)

@@ -75,6 +75,35 @@ def test_missing_file_is_an_input_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_utf8_input_is_an_input_error(tmp_path, monkeypatch, capsys):
+    p = tmp_path / "bad.bin"
+    p.write_bytes(b"\xff\xfe")
+    assert main(["sci", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    # standard input decoded strictly, and with the surrogateescape handler
+    # Python uses under a C or POSIX locale
+    for errors in ("strict", "surrogateescape"):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8", errors=errors)
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert main(["sci"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--leaf-size", "0"],
+        ["gen", "--depth", "-1"],
+        ["bench", "--repeats", "0", "--max-exp", "4"],
+    ],
+)
+def test_bad_gen_and_bench_arguments_are_input_errors(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + argv[1]) and captured.err.count("\n") == 1
+
+
 def test_malformed_decomposition_is_an_input_error(monkeypatch, capsys):
     feed(monkeypatch, "{not json")
     assert main(["sci"]) == 2

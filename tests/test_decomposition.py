@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -78,6 +80,20 @@ def test_parse_rejects_non_tree_leaf():
         parse_decomposition(forest)
 
 
+def test_oversized_edgeless_leaf_is_rejected_before_it_is_built():
+    # a few bytes of document must not cost memory in proportion to n
+    for kind in ("tree", "cotree"):
+        doc = f'{{"type":"{kind}","n":1000000,"edges":[]}}'
+        tracemalloc.start()
+        try:
+            with pytest.raises(DecompositionError, match=r"^\$: leaf graph is not a tree$"):
+                parse_decomposition(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 def test_parse_error_paths_name_the_leaf():
     doc = f'{{"type":"join","children":[{K2_LEAF},{{"type":"tree","n":2,"edges":[]}}]}}'
     with pytest.raises(DecompositionError, match=r"\$\.children\[1\]"):
@@ -135,6 +151,18 @@ def test_non_nodes_are_rejected():
     leaf = TreeLeaf(build_graph(2, [(0, 1)]))
     with pytest.raises(DecompositionError, match="not a decomposition node"):
         DecompositionTree(UnionNode(leaf, "leaf"))
+    with pytest.raises(DecompositionError, match="not a decomposition node"):
+        JoinNode(leaf, "x")
+    with pytest.raises(DecompositionError, match="not a decomposition node"):
+        DecompositionTree("leaf")
+
+
+def test_internal_nodes_are_immutable():
+    leaf = TreeLeaf(build_graph(2, [(0, 1)]))
+    node = JoinNode(leaf, TreeLeaf(build_graph(1, [])))
+    assert (node.n, node.m) == (3, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        node.right = leaf
 
 
 def test_leaves_check_their_tree_at_construction():
@@ -263,24 +291,27 @@ def test_summaries_match_realized_graph(t):
 @given(decomposition_trees())
 def test_offsets_partition_left_before_right(t):
     g = realize(t)
-
-    def walk(node):
-        s = t.summary(node)
+    placed = list(t.placed())
+    assert [node for node, _ in placed] == t.order
+    offset = dict(placed)
+    spans = []
+    for node, off in placed:
         if isinstance(node, (TreeLeaf, CotreeLeaf)):
-            return [(s.global_offset, s.n)]
-        sl = t.summary(node.left)
-        sr = t.summary(node.right)
-        assert sl.global_offset == s.global_offset
-        assert sr.global_offset == sl.global_offset + sl.n
-        assert s.n == sl.n + sr.n
-        expected_m = sl.m + sr.m
+            assert node.n == node.t.n
+            if isinstance(node, TreeLeaf):
+                assert node.m == node.t.m
+            else:
+                assert node.m == complement(node.t).m
+            spans.append((off, off + node.n))
+            continue
+        assert offset[node.left] == off
+        assert offset[node.right] == off + node.left.n
+        assert node.n == node.left.n + node.right.n
+        expected_m = node.left.m + node.right.m
         if isinstance(node, JoinNode):
-            expected_m += sl.n * sr.n
-        assert s.m == expected_m
-        return walk(node.left) + walk(node.right)
-
-    spans = walk(t.root)
-    covered = sorted((off, off + size) for off, size in spans)
+            expected_m += node.left.n * node.right.n
+        assert node.m == expected_m
+    covered = sorted(spans)
     assert covered[0][0] == 0 and covered[-1][1] == g.n
     assert all(a[1] == b[0] for a, b in zip(covered, covered[1:]))
 

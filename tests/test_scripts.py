@@ -1,5 +1,7 @@
-"""Smoke tests: each experiment script runs to completion on tiny inputs."""
+"""Smoke tests: each experiment script runs to completion on tiny inputs,
+and the benchmark's span targets still exist."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -31,3 +33,13 @@ def test_script_exits_zero(script, args):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_bench_span_targets_exist():
+    """`bench/run.py --trace 1` wraps the program functions listed in
+    `bench/spans.py`; constructing its instrumentation fails when one of
+    them is gone."""
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    spans.Instrumentation(spans.Tracer())
