@@ -1,8 +1,8 @@
 """Command line front end.
 
-Commands: sci, im, perm, oracle, gen, bench.  Exit codes: 0 success,
-1 verification failure or oracle disagreement, 2 input error,
-3 inconclusive (search budget exceeded).
+Commands: sci, im, perm, oracle, gen.  Exit codes: 0 success,
+1 verification failure or oracle disagreement, 2 input error (out of
+memory included), 3 inconclusive (search budget exceeded).
 """
 
 from __future__ import annotations
@@ -11,18 +11,12 @@ import argparse
 import json
 import random
 import sys
-import time
 from dataclasses import asdict
 from pathlib import Path
 
 from .decomposition import (
-    CotreeLeaf,
     DecompositionError,
-    DecompositionTree,
-    TreeLeaf,
-    UnionNode,
     parse_decomposition,
-    random_labeled_tree,
     random_tree_cograph,
     realize,
     serialize_decomposition,
@@ -33,7 +27,7 @@ from .graph import (
     is_strong_edge_coloring,
     square_of_linegraph,
 )
-from .induced_matching import im, im_value
+from .induced_matching import im
 from .oracle import (
     BudgetExceededError,
     OracleReport,
@@ -63,6 +57,10 @@ def _coloring_rows(g, coloring):
         {"edge": [u, v], "color": coloring.colors[i]}
         for i, (u, v) in enumerate(g.edges)
     ]
+
+
+class _VerificationFailed(Exception):
+    """A certificate failed its check inside a command; `main` exits 1."""
 
 
 def _fail_verification(message: str) -> int:
@@ -167,7 +165,7 @@ def _oracle_decomposition(text: str, budget: int | None) -> list[OracleReport]:
     desc = f"decomposition(n={g.n},m={g.m})"
     fast_sci = sci(tree).value
     chi, t_chi = timed(exact_chromatic_number, sq, budget)
-    fast_im = im_value(tree)
+    fast_im = im(tree).value
     mis, t_mis = timed(exact_max_independent_set, sq, budget)
     return [
         OracleReport.compare(desc, "strong chromatic index", fast_sci, chi, t_chi),
@@ -182,7 +180,7 @@ def _oracle_permutation(text: str, budget: int | None) -> list[OracleReport]:
     desc = f"permutation(n={g.n},m={g.m})"
     coloring = strong_color_permutation(diagram, g)
     if not is_strong_edge_coloring(g, coloring):
-        raise GraphError("greedy coloring failed verification")
+        raise _VerificationFailed("greedy coloring is not a strong edge coloring")
     chi, t_chi = timed(exact_chromatic_number, sq, budget)
     return [
         OracleReport.compare(desc, "palette size", coloring.palette_size, chi, t_chi)
@@ -190,6 +188,8 @@ def _oracle_permutation(text: str, budget: int | None) -> list[OracleReport]:
 
 
 def cmd_oracle(args) -> int:
+    if args.budget < 1:
+        return _input_error(f"--budget must be >= 1, got {args.budget}")
     text = _read_input(args.input)
     mode = args.mode
     if mode == "auto":
@@ -226,66 +226,6 @@ def cmd_gen(args) -> int:
         tree = random_tree_cograph(rng.getrandbits(63), args.depth, args.leaf_size)
         print(serialize_decomposition(tree))
     return 0
-
-
-def _bench_instance(total_n: int, leaf_size: int, rng: random.Random) -> DecompositionTree:
-    """Union chain over moderate leaves; realized size exactly total_n, edge
-    description linear in total_n (cotree leaves stay implicit)."""
-    leaves = []
-    remaining = total_n
-    i = 0
-    while remaining:
-        size = min(leaf_size, remaining)
-        t = random_labeled_tree(size, rng)
-        leaves.append(CotreeLeaf(t) if size >= 4 and i % 10 == 9 else TreeLeaf(t))
-        remaining -= size
-        i += 1
-    node = leaves[0]
-    for leaf in leaves[1:]:
-        node = UnionNode(node, leaf)
-    return DecompositionTree(node)
-
-
-def cmd_bench(args) -> int:
-    if args.repeats < 1:
-        return _input_error(f"--repeats must be >= 1, got {args.repeats}")
-    rng = random.Random(args.seed)
-    sizes = [10**e for e in range(4, args.max_exp + 1)]
-    results = []
-    for n in sizes:
-        tree = _bench_instance(n, args.leaf_size, rng)
-        t_sci = min(
-            _time_once(sci, tree) for _ in range(args.repeats)
-        )
-        t_im = min(
-            _time_once(im_value, tree) for _ in range(args.repeats)
-        )
-        results.append({"n": n, "sci_seconds": t_sci, "im_seconds": t_im})
-    ratios = {
-        "sci": [
-            results[i]["sci_seconds"] / results[i - 1]["sci_seconds"]
-            for i in range(1, len(results))
-        ],
-        "im": [
-            results[i]["im_seconds"] / results[i - 1]["im_seconds"]
-            for i in range(1, len(results))
-        ],
-    }
-    print(json.dumps({
-        "command": "bench",
-        "seed": args.seed,
-        "repeats": args.repeats,
-        "leaf_size": args.leaf_size,
-        "results": results,
-        "ratios": ratios,
-    }))
-    return 0
-
-
-def _time_once(fn, arg) -> float:
-    t0 = time.perf_counter()
-    fn(arg)
-    return time.perf_counter() - t0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,14 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--count", type=int, default=1)
     p_gen.set_defaults(func=cmd_gen)
 
-    p_bench = sub.add_parser("bench", help="time the value-only linear paths")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--repeats", type=int, default=3)
-    p_bench.add_argument("--max-exp", type=int, default=6,
-                         help="largest size is 10**max_exp")
-    p_bench.add_argument("--leaf-size", type=int, default=512)
-    p_bench.set_defaults(func=cmd_bench)
-
     return parser
 
 
@@ -350,9 +282,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except _VerificationFailed as exc:
+        return _fail_verification(str(exc))
     except BudgetExceededError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        return _input_error("out of memory: the input is too large to process")
     except (
         GraphError, DecompositionError, PermutationError, OSError, UnicodeDecodeError
     ) as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .decomposition import CotreeLeaf, DecompositionTree, TreeLeaf, UnionNode
 from .graph import Graph, GraphError, is_tree
 
-__all__ = ["InducedMatchingResult", "im", "im_value", "im_tree", "im_tree_value"]
+__all__ = ["InducedMatchingResult", "im", "im_tree"]
 
 _NEG = -(1 << 60)
 
@@ -87,18 +87,6 @@ def _tree_dp(t: Graph):
     return parent, s0, s1, s2, partner
 
 
-def im_tree_value(t: Graph) -> int:
-    """iv of a tree, value only, O(n)."""
-    if not is_tree(t):
-        raise GraphError("input is not a tree")
-    return _im_tree_value(t)
-
-
-def _im_tree_value(t: Graph) -> int:
-    _, _, s1, s2, _ = _tree_dp(t)
-    return max(s1[0], s2[0])
-
-
 def im_tree(t: Graph) -> tuple[int, list[tuple[int, int]]]:
     """iv of a tree with a witness matching (local vertex pairs), O(n)."""
     if not is_tree(t):
@@ -141,24 +129,6 @@ def _cotree_witness(t: Graph, off: int) -> list[tuple[int, int]]:
             return [(off, off + w)]
     # vertex 0 sees everyone, so t is a star and (1, 2) is a nonedge
     return [(off + 1, off + 2)]
-
-
-def im_value(tree: DecompositionTree) -> int:
-    """iv of the represented graph; linear in leaf sizes + tree size."""
-    vals: list[int] = []
-    for node in tree.order:
-        if isinstance(node, TreeLeaf):
-            vals.append(_im_tree_value(node.t))
-        elif isinstance(node, CotreeLeaf):
-            vals.append(min(node.m, 1))
-        else:
-            right = vals.pop()
-            left = vals.pop()
-            if isinstance(node, UnionNode):
-                vals.append(left + right)
-            else:
-                vals.append(max(left, right, 1))
-    return vals.pop()
 
 
 def im(tree: DecompositionTree) -> InducedMatchingResult:

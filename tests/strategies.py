@@ -1,7 +1,9 @@
 """Shared hypothesis strategies: graphs, trees, decomposition trees and
 documents, and permutation diagrams sized for the exact oracles, plus a
-tree-diameter helper that the tests use as an independent reference."""
+tree-diameter helper that the tests use as an independent reference and
+the union-chain instance that the scaling tests time."""
 
+import random
 from collections import deque
 
 import hypothesis.strategies as st
@@ -14,6 +16,7 @@ from strongedge import (
     TreeLeaf,
     UnionNode,
     build_graph,
+    random_labeled_tree,
     tree_from_prufer,
 )
 
@@ -55,6 +58,24 @@ def tree_diameter(t):
                     queue.append(w)
         end = max(dist, key=dist.get)
     return dist[end]
+
+
+def _bench_instance(total_n: int, leaf_size: int, rng: random.Random) -> DecompositionTree:
+    """Union chain over moderate leaves; realized size exactly total_n, edge
+    description linear in total_n (cotree leaves stay implicit)."""
+    leaves = []
+    remaining = total_n
+    i = 0
+    while remaining:
+        size = min(leaf_size, remaining)
+        t = random_labeled_tree(size, rng)
+        leaves.append(CotreeLeaf(t) if size >= 4 and i % 10 == 9 else TreeLeaf(t))
+        remaining -= size
+        i += 1
+    node = leaves[0]
+    for leaf in leaves[1:]:
+        node = UnionNode(node, leaf)
+    return DecompositionTree(node)
 
 
 @st.composite

@@ -20,8 +20,7 @@ from strongedge import (
     exact_max_independent_set,
     has_induced_cycle_at_least,
     im,
-    im_tree_value,
-    im_value,
+    im_tree,
     is_chordal,
     is_clique,
     is_induced_matching,
@@ -38,9 +37,7 @@ from strongedge import (
     tree_from_prufer,
     trapezoid_model,
 )
-from strongedge.cli import _bench_instance
-
-from strategies import tree_diameter
+from strategies import _bench_instance, tree_diameter
 
 
 def report(num, ok, detail):
@@ -140,14 +137,14 @@ def test_criterion_05_tree_dp_exhaustive_and_random():
         for seq in itertools.product(range(n), repeat=max(0, n - 2)):
             t = tree_from_prufer(n, list(seq))
             exhaustive += 1
-            if im_tree_value(t) != exact_max_independent_set(
+            if im_tree(t)[0] != exact_max_independent_set(
                 square_of_linegraph(t).graph
             ):
                 bad += 1
     rng = random.Random(5)
     for _ in range(10_000):
         t = random_labeled_tree(rng.randint(8, 16), rng)
-        if im_tree_value(t) != exact_max_independent_set(
+        if im_tree(t)[0] != exact_max_independent_set(
             square_of_linegraph(t).graph
         ):
             bad += 1
@@ -318,7 +315,7 @@ def test_criterion_09_linear_scaling():
     for n in (10**4, 10**5, 10**6):
         tree = _bench_instance(n, 512, rng)
         times_sci.append(_best_of(sci, tree))
-        times_im.append(_best_of(im_value, tree))
+        times_im.append(_best_of(im, tree))
     ratios = [
         times[i] / times[i - 1]
         for times in (times_sci, times_im)

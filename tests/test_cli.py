@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+import strongedge
+from strongedge import cli
 from strongedge.cli import build_parser, main
 
 JOIN_K2_K2 = json.dumps({
@@ -94,10 +96,11 @@ def test_non_utf8_input_is_an_input_error(tmp_path, monkeypatch, capsys):
     [
         ["gen", "--leaf-size", "0"],
         ["gen", "--depth", "-1"],
-        ["bench", "--repeats", "0", "--max-exp", "4"],
+        ["oracle", "--budget", "0"],
+        ["oracle", "--budget", "-1"],
     ],
 )
-def test_bad_gen_and_bench_arguments_are_input_errors(argv, capsys):
+def test_bad_arguments_are_input_errors(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -158,6 +161,32 @@ def test_failed_verification_exits_one(monkeypatch, capsys):
     assert "verification failed" in capsys.readouterr().err
 
 
+def test_oracle_failed_permutation_verification_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(
+        "strongedge.cli.is_strong_edge_coloring", lambda g, c: False
+    )
+    feed(monkeypatch, "2 0 3 1")
+    assert main(["oracle", "--mode", "perm"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verification failed: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["sci", "im"])
+def test_out_of_memory_is_an_input_error(command, monkeypatch, capsys):
+    def exhausted(tree):
+        raise MemoryError
+
+    monkeypatch.setattr("strongedge.cli.realize", exhausted)
+    feed(monkeypatch, JOIN_K2_K2)
+    assert main([command, "--verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory")
+    assert captured.err.count("\n") == 1
+
+
 def test_gen_is_deterministic_and_parseable(capsys):
     from strongedge import parse_decomposition
 
@@ -185,15 +214,6 @@ def test_gen_pipes_into_oracle(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["agree"] is True
 
 
-def test_bench_output_shape(capsys):
-    code, out = main(["bench", "--max-exp", "4", "--repeats", "1"]), None
-    out = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert [r["n"] for r in out["results"]] == [10**4]
-    assert out["ratios"] == {"sci": [], "im": []}
-    assert out["results"][0]["sci_seconds"] > 0
-
-
 def test_run_config_from_args():
     """The parsed namespace is the run configuration the commands read."""
     parser = build_parser()
@@ -203,5 +223,14 @@ def test_run_config_from_args():
     args = parser.parse_args(["gen", "--leaf-size", "9"])
     assert args.command == "gen" and args.leaf_size == 9 and args.depth == 3
 
-    with pytest.raises(SystemExit):
-        parser.parse_args(["no-such-command"])
+    for argv in (["no-such-command"], ["bench"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+
+
+def test_public_names_resolve_and_removed_ones_are_gone():
+    for name in strongedge.__all__:
+        assert getattr(strongedge, name) is not None, name
+    for name in ("im_value", "im_tree_value"):
+        assert name not in strongedge.__all__ and not hasattr(strongedge, name)
+    assert not hasattr(cli, "cmd_bench")

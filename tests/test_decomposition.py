@@ -18,7 +18,6 @@ from strongedge import (
     build_graph,
     complement,
     im,
-    im_value,
     is_tree,
     parse_decomposition,
     random_labeled_tree,
@@ -30,9 +29,7 @@ from strongedge import (
     tree_from_prufer,
 )
 
-from strongedge.cli import _bench_instance
-
-from strategies import decomposition_docs, decomposition_trees
+from strategies import _bench_instance, decomposition_docs, decomposition_trees
 
 K2_LEAF = '{"type":"tree","n":2,"edges":[[0,1]]}'
 JOIN_K2_K2 = f'{{"type":"join","children":[{K2_LEAF},{K2_LEAF}]}}'
@@ -187,7 +184,6 @@ def test_each_leaf_is_checked_once(monkeypatch):
             monkeypatch.setattr(module, "is_tree", counting_is_tree)
     tree = parse_decomposition(text)
     sci(tree)
-    im_value(tree)
     im(tree)
     strong_coloring(tree)
     leaves = [node for node in tree.order if isinstance(node, (TreeLeaf, CotreeLeaf))]

@@ -13,8 +13,6 @@ from strongedge import (
     exact_max_independent_set,
     im,
     im_tree,
-    im_tree_value,
-    im_value,
     is_induced_matching,
     parse_decomposition,
     random_labeled_tree,
@@ -38,14 +36,14 @@ def test_im_tree_examples():
     assert value == 2 and sorted(witness) == [(0, 1), (3, 4)]
 
     star = build_graph(6, [(0, i) for i in range(1, 6)])
-    assert im_tree_value(star) == 1
+    assert im_tree(star)[0] == 1
 
     assert im_tree(build_graph(1, [])) == (0, [])
 
 
 def test_im_tree_rejects_non_trees():
     with pytest.raises(GraphError, match="not a tree"):
-        im_tree_value(build_graph(3, [(0, 1), (1, 2), (0, 2)]))
+        im_tree(build_graph(3, [(0, 1), (1, 2), (0, 2)]))
 
 
 def test_im_examples():
@@ -86,28 +84,28 @@ def test_join_prefers_left_witness_then_right_then_cross():
 @given(decomposition_trees())
 def test_im_matches_oracle_independent_set(t):
     sq = square_of_linegraph(realize(t)).graph
-    assert im_value(t) == exact_max_independent_set(sq)
+    assert im(t).value == exact_max_independent_set(sq)
 
 
 @given(decomposition_trees(max_leaf_n=8, max_internal=4))
 def test_im_witness_is_an_induced_matching_of_stated_size(t):
     res = im(t)
-    assert len(res.witness) == res.value == im_value(t)
+    assert len(res.witness) == res.value
     assert is_induced_matching(realize(t), list(res.witness))
 
 
 @given(decomposition_trees(), decomposition_trees())
 def test_union_adds_and_join_clamps(a, b):
-    va, vb = im_value(a), im_value(b)
-    assert im_value(DecompositionTree(UnionNode(a.root, b.root))) == va + vb
+    va, vb = im(a).value, im(b).value
+    assert im(DecompositionTree(UnionNode(a.root, b.root))).value == va + vb
     joined = DecompositionTree(JoinNode(a.root, b.root))
-    assert im_value(joined) == max(va, vb, 1)
+    assert im(joined).value == max(va, vb, 1)
 
 
 @given(trees(max_n=16))
 def test_im_tree_matches_oracle(t):
     sq = square_of_linegraph(t).graph
-    assert im_tree_value(t) == exact_max_independent_set(sq)
+    assert im_tree(t)[0] == exact_max_independent_set(sq)
 
 
 def test_im_tree_on_long_random_paths_and_brooms():

@@ -11,7 +11,7 @@ from strongedge import (
     complement,
     exact_chromatic_number,
     exact_max_clique,
-    im_value,
+    im,
     is_strong_edge_coloring,
     parse_decomposition,
     realize,
@@ -131,7 +131,7 @@ def test_sci_tree_equals_clique_number_of_the_square(t):
 @given(decomposition_trees())
 def test_color_classes_cover_edges(t):
     # iv * schi' >= m: the palette partitions edges into induced matchings
-    assert im_value(t) * sci(t).value >= t.m
+    assert im(t).value * sci(t).value >= t.m
 
 
 def test_sci_value_zero_iff_edgeless():
