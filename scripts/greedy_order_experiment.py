@@ -17,7 +17,6 @@ tightest-fit has no known counterexample.
 import argparse
 import itertools
 import random
-from dataclasses import dataclass
 
 from strongedge import (
     PermutationDiagram,
@@ -28,15 +27,6 @@ from strongedge import (
     trapezoid_model,
     trapezoids_intersect,
 )
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    max_exhaustive: int = 7
-    samples: int = 300
-    sample_n: int = 10
-    seed: int = 0
-    show: int = 5
 
 
 def first_fit_palette(traps) -> int:
@@ -63,11 +53,11 @@ def evaluate(pi):
     return chi, ff, tf
 
 
-def run(config: ExperimentConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     ff_bad = tf_bad = total = 0
     shown = 0
-    print(f"exhaustive sweep, n <= {config.max_exhaustive}")
-    for n in range(config.max_exhaustive + 1):
+    print(f"exhaustive sweep, n <= {args.max_exhaustive}")
+    for n in range(args.max_exhaustive + 1):
         n_ff = n_tf = 0
         for pi in itertools.permutations(range(n)):
             chi, ff, tf = evaluate(pi)
@@ -75,7 +65,7 @@ def run(config: ExperimentConfig) -> int:
             total += 1
             if ff > chi:
                 n_ff += 1
-                if shown < config.show:
+                if shown < args.show:
                     print(f"  first-fit counterexample: pi={' '.join(map(str, pi))}"
                           f"  first-fit={ff}  chi={chi}")
                     shown += 1
@@ -87,10 +77,10 @@ def run(config: ExperimentConfig) -> int:
         tf_bad += n_tf
         print(f"  n={n}: {n_ff} first-fit / {n_tf} tightest-fit suboptimal")
 
-    rng = random.Random(config.seed)
-    print(f"random sweep, {config.samples} samples at n = {config.sample_n}")
-    for _ in range(config.samples):
-        pi = list(range(config.sample_n))
+    rng = random.Random(args.seed)
+    print(f"random sweep, {args.samples} samples at n = {args.sample_n}")
+    for _ in range(args.samples):
+        pi = list(range(args.sample_n))
         rng.shuffle(pi)
         chi, ff, tf = evaluate(pi)
         total += 1
@@ -115,9 +105,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--show", type=int, default=5,
                         help="how many first-fit counterexamples to print")
-    a = parser.parse_args()
-    return run(ExperimentConfig(a.max_exhaustive, a.samples, a.sample_n,
-                                a.seed, a.show))
+    return run(parser.parse_args())
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ import argparse
 import itertools
 import random
 from collections import deque
-from dataclasses import dataclass
 
 from strongedge import (
     is_chordal,
@@ -25,14 +24,6 @@ from strongedge import (
     square_of_linegraph,
     tree_from_prufer,
 )
-
-
-@dataclass(frozen=True)
-class SurveyConfig:
-    max_n: int = 8
-    exhaustive_limit: int = 7
-    samples: int = 2000
-    seed: int = 0
 
 
 def find_gem(sq):
@@ -70,25 +61,25 @@ def tree_diameter(t):
     return dist[end]
 
 
-def iter_trees(n, config, rng):
-    if n <= config.exhaustive_limit:
+def iter_trees(n, args, rng):
+    if n <= args.exhaustive_limit:
         for seq in itertools.product(range(n), repeat=max(0, n - 2)):
             yield tree_from_prufer(n, list(seq))
     else:
-        for _ in range(config.samples):
+        for _ in range(args.samples):
             yield random_labeled_tree(n, rng)
 
 
-def run(config: SurveyConfig) -> int:
-    rng = random.Random(config.seed)
+def run(args: argparse.Namespace) -> int:
+    rng = random.Random(args.seed)
     failed = False
     print(f"{'n':>3} {'trees':>8} {'mode':>10} {'not chordal':>12} "
           f"{'not ptolemaic':>14} {'diam >= 5':>10} {'mismatch':>9} "
           f"{'fraction':>9}")
-    for n in range(2, config.max_n + 1):
+    for n in range(2, args.max_n + 1):
         total = bad_chordal = bad_pt = long_diam = mismatch = 0
         witness_line = None
-        for t in iter_trees(n, config, rng):
+        for t in iter_trees(n, args, rng):
             sq = square_of_linegraph(t).graph
             total += 1
             if not is_chordal(sq):
@@ -109,7 +100,7 @@ def run(config: SurveyConfig) -> int:
                         f"the induced path {'-'.join(f'#{i}' for i in p)}"
                     )
         failed = failed or bad_chordal > 0 or mismatch > 0
-        mode = "exhaustive" if n <= config.exhaustive_limit else "sampled"
+        mode = "exhaustive" if n <= args.exhaustive_limit else "sampled"
         print(f"{n:>3} {total:>8} {mode:>10} {bad_chordal:>12} "
               f"{bad_pt:>14} {long_diam:>10} {mismatch:>9} "
               f"{bad_pt / total:>9.4f}")
@@ -124,8 +115,7 @@ def main() -> int:
     parser.add_argument("--exhaustive-limit", type=int, default=7)
     parser.add_argument("--samples", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
-    a = parser.parse_args()
-    return run(SurveyConfig(a.max_n, a.exhaustive_limit, a.samples, a.seed))
+    return run(parser.parse_args())
 
 
 if __name__ == "__main__":

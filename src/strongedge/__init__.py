@@ -34,8 +34,6 @@ from .graph import (
     StrongEdgeColoring,
     build_graph,
     complement,
-    graph_from_text,
-    graph_to_text,
     is_induced_matching,
     is_strong_edge_coloring,
     is_tree,
@@ -66,7 +64,7 @@ from .permutation import (
     trapezoid_model,
     trapezoids_intersect,
 )
-from .strong_chromatic import SChiResult, sci, sci_cotree, sci_tree, strong_coloring
+from .strong_chromatic import SChiResult, sci, sci_tree, strong_coloring
 
 __version__ = "0.1.0"
 
@@ -96,8 +94,6 @@ __all__ = [
     "exact_chromatic_number",
     "exact_max_clique",
     "exact_max_independent_set",
-    "graph_from_text",
-    "graph_to_text",
     "greedy_trapezoid_coloring",
     "has_induced_cycle_at_least",
     "im",
@@ -119,7 +115,6 @@ __all__ = [
     "random_tree_cograph",
     "realize",
     "sci",
-    "sci_cotree",
     "sci_tree",
     "serialize_decomposition",
     "square_of_linegraph",

@@ -221,9 +221,14 @@ def cmd_gen(args) -> int:
         return _input_error(f"--depth must be >= 0, got {args.depth}")
     if args.leaf_size < 1:
         return _input_error(f"--leaf-size must be >= 1, got {args.leaf_size}")
+    if args.count < 0:
+        return _input_error(f"--count must be >= 0, got {args.count}")
     rng = random.Random(args.seed)
     for _ in range(args.count):
-        tree = random_tree_cograph(rng.getrandbits(63), args.depth, args.leaf_size)
+        try:
+            tree = random_tree_cograph(rng.getrandbits(63), args.depth, args.leaf_size)
+        except RecursionError:
+            return _input_error(f"--depth {args.depth}: generated nesting is too deep")
         print(serialize_decomposition(tree))
     return 0
 

@@ -15,7 +15,7 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .graph import Graph, GraphError, build_graph, is_tree
+from .graph import Graph, GraphError, build_graph, is_tree, nonedges
 
 __all__ = [
     "DecompositionError",
@@ -298,18 +298,13 @@ def realize(tree: DecompositionTree) -> Graph:
         if isinstance(node, TreeLeaf):
             edges.extend((u + off, v + off) for u, v in node.t.edges)
         elif isinstance(node, CotreeLeaf):
-            t = node.t
-            present = t.edge_set()
-            for u in range(t.n):
-                for v in range(u + 1, t.n):
-                    if (u, v) not in present:
-                        edges.append((u + off, v + off))
+            edges.extend((u + off, v + off) for u, v in nonedges(node.t))
         elif isinstance(node, JoinNode):
             mid = off + node.left.n
             for u in range(off, mid):
                 for v in range(mid, off + node.n):
                     edges.append((u, v))
-    return build_graph(tree.n, edges)
+    return Graph(tree.n, edges)
 
 
 def tree_from_prufer(n: int, seq: list[int]) -> Graph:
@@ -320,9 +315,9 @@ def tree_from_prufer(n: int, seq: list[int]) -> Graph:
     if len(seq) != max(0, n - 2):
         raise GraphError(f"sequence length {len(seq)} != n-2 for n={n}")
     if n == 1:
-        return build_graph(1, [])
+        return Graph(1, [])
     if n == 2:
-        return build_graph(2, [(0, 1)])
+        return Graph(2, [(0, 1)])
     degree = [1] * n
     for x in seq:
         if not 0 <= x < n:
@@ -345,7 +340,7 @@ def tree_from_prufer(n: int, seq: list[int]) -> Graph:
             leaf = -1
     u, v = (w for w in range(n) if degree[w] == 1)
     edges.append((u, v))
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 def random_labeled_tree(n: int, rng: random.Random) -> Graph:

@@ -3,6 +3,7 @@ strong edge coloring certificates."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 
@@ -14,13 +15,20 @@ class Graph:
     """Undirected simple graph on vertices 0..n-1 with a stable edge index.
 
     Edges keep the order in which they were supplied; every algorithm in
-    this package refers to edges by their index in ``edges``.  Instances
+    this package refers to edges by their index in ``edges``.  The
+    constructor trusts its edges: they must be distinct pairs ``(u, v)``
+    with ``0 <= u < v < n``, as every graph this package builds itself is.
+    Outside input goes through `build_graph`, which checks it.  Instances
     are treated as immutable after construction.
     """
 
     __slots__ = ("n", "edges", "adj")
 
-    def __init__(self, n: int, edges: list[tuple[int, int]], adj: list[list[int]]):
+    def __init__(self, n: int, edges: list[tuple[int, int]]):
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
         self.n = n
         self.edges = edges
         self.adj = adj
@@ -39,17 +47,9 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and set(self.edges) == set(other.edges)
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.edges)))
-
 
 def build_graph(n: int, edge_pairs) -> Graph:
-    """Build a validated Graph from (u, v) pairs.
+    """Build a Graph from outside (u, v) pairs, normalized to u < v.
 
     Rejects self-loops, out-of-range endpoints and duplicate edges; the
     strictness is deliberate so that edge counts of independently built
@@ -59,7 +59,6 @@ def build_graph(n: int, edge_pairs) -> Graph:
         raise GraphError(f"vertex count must be non-negative, got {n}")
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    adj: list[list[int]] = [[] for _ in range(n)]
     for pair in edge_pairs:
         u, v = pair
         if not (0 <= u < n and 0 <= v < n):
@@ -72,21 +71,22 @@ def build_graph(n: int, edge_pairs) -> Graph:
             raise GraphError(f"duplicate edge ({u},{v})")
         seen.add((u, v))
         edges.append((u, v))
-        adj[u].append(v)
-        adj[v].append(u)
-    return Graph(n, edges, adj)
+    return Graph(n, edges)
+
+
+def nonedges(g: Graph) -> Iterator[tuple[int, int]]:
+    """The pairs u < v that are not edges of g, in lexicographic order.
+    Holds one vertex's neighbors at a time."""
+    for u in range(g.n):
+        nbrs = set(g.adj[u])
+        for v in range(u + 1, g.n):
+            if v not in nbrs:
+                yield u, v
 
 
 def complement(g: Graph) -> Graph:
     """Complement graph on the same vertex set. Quadratic; oracle-scale only."""
-    present = g.edge_set()
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if (u, v) not in present
-    ]
-    return build_graph(g.n, edges)
+    return Graph(g.n, list(nonedges(g)))
 
 
 def is_tree(g: Graph) -> bool:
@@ -137,7 +137,6 @@ def square_of_linegraph(g: Graph) -> SquaredLinegraph:
     # Each pair is found once, as (idx, other) with idx < other, so the
     # square's Graph is built directly rather than revalidated.
     sq_edges: list[tuple[int, int]] = []
-    sq_adj: list[list[int]] = [[] for _ in range(m)]
     mark = [-1] * m
     for idx, (u, v) in enumerate(g.edges):
         centers = {u, v}
@@ -148,9 +147,7 @@ def square_of_linegraph(g: Graph) -> SquaredLinegraph:
                 if other > idx and mark[other] != idx:
                     mark[other] = idx
                     sq_edges.append((idx, other))
-                    sq_adj[idx].append(other)
-                    sq_adj[other].append(idx)
-    return SquaredLinegraph(Graph(m, sq_edges, sq_adj), g)
+    return SquaredLinegraph(Graph(m, sq_edges), g)
 
 
 @dataclass(frozen=True)
@@ -227,40 +224,3 @@ def is_induced_matching(g: Graph, pairs: list[tuple[int, int]]) -> bool:
         if owner[u] != -1 and owner[v] != -1 and owner[u] != owner[v]:
             return False
     return True
-
-
-def graph_to_text(g: Graph) -> str:
-    """Serialize to the plain text format: 'n m' then one 'u v' line per edge."""
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
-
-
-def graph_from_text(text: str) -> Graph:
-    """Parse the plain text format; blank lines and '#' comments are ignored."""
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append((lineno, line))
-    if not rows:
-        raise GraphError("empty graph document")
-    header = rows[0][1].split()
-    if len(header) != 2:
-        raise GraphError(f"line {rows[0][0]}: expected 'n m' header")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise GraphError(f"line {rows[0][0]}: non-integer header") from exc
-    if len(rows) - 1 != m:
-        raise GraphError(f"expected {m} edge lines, found {len(rows) - 1}")
-    edges = []
-    for lineno, line in rows[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphError(f"line {lineno}: expected 'u v'")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise GraphError(f"line {lineno}: non-integer endpoint") from exc
-    return build_graph(n, edges)

@@ -12,9 +12,10 @@ single cross edge is always available).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .decomposition import CotreeLeaf, DecompositionTree, TreeLeaf, UnionNode
-from .graph import Graph, GraphError, is_tree
+from .graph import Graph, GraphError, is_tree, nonedges
 
 __all__ = ["InducedMatchingResult", "im", "im_tree"]
 
@@ -120,17 +121,6 @@ def _im_tree(t: Graph) -> tuple[int, list[tuple[int, int]]]:
     return value, pairs
 
 
-def _cotree_witness(t: Graph, off: int) -> list[tuple[int, int]]:
-    """Lexicographically smallest nonedge of the tree t, shifted to global
-    ids; only called when one exists (n >= 3)."""
-    nbrs0 = set(t.adj[0])
-    for w in range(1, t.n):
-        if w not in nbrs0:
-            return [(off, off + w)]
-    # vertex 0 sees everyone, so t is a star and (1, 2) is a nonedge
-    return [(off + 1, off + 2)]
-
-
 def im(tree: DecompositionTree) -> InducedMatchingResult:
     """iv of the represented graph with a witness over global vertex ids.
 
@@ -146,8 +136,9 @@ def im(tree: DecompositionTree) -> InducedMatchingResult:
             value, local = _im_tree(node.t)
             acc.append((value, [(u + off, v + off) for u, v in local]))
         elif isinstance(node, CotreeLeaf):
-            value = min(node.m, 1)
-            acc.append((value, _cotree_witness(node.t, off) if value else []))
+            # t's first nonedge, if it has one, is an edge of the complement
+            witness = [(u + off, v + off) for u, v in islice(nonedges(node.t), 1)]
+            acc.append((len(witness), witness))
         else:
             rv, rw = acc.pop()
             lv, lw = acc.pop()

@@ -15,7 +15,7 @@ import heapq
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graph import Graph, StrongEdgeColoring, build_graph
+from .graph import Graph, StrongEdgeColoring
 
 __all__ = [
     "PermutationError",
@@ -78,7 +78,7 @@ def permutation_graph(d: PermutationDiagram) -> Graph:
             k -= 1
             later[row[k]].append(j)
         row.insert(k, j)
-    return build_graph(d.n, [(i, j) for i, js in enumerate(later) for j in js])
+    return Graph(d.n, [(i, j) for i, js in enumerate(later) for j in js])
 
 
 def _count_inversions(pi: tuple[int, ...]) -> int:

@@ -23,7 +23,7 @@ from .decomposition import (
 )
 from .graph import Graph, GraphError, StrongEdgeColoring, is_tree, square_of_linegraph
 
-__all__ = ["SChiResult", "sci", "sci_tree", "sci_cotree", "strong_coloring"]
+__all__ = ["SChiResult", "sci", "sci_tree", "strong_coloring"]
 
 
 @dataclass(frozen=True)
@@ -46,14 +46,6 @@ def _sci_tree(t: Graph) -> int:
         return 0
     deg = list(map(len, t.adj))
     return max(deg[u] + deg[v] for u, v in t.edges) - 1
-
-
-def sci_cotree(n: int) -> int:
-    """Strong chromatic index of the complement of any n-vertex tree: the
-    number of tree nonedges, since the squared linegraph is a clique."""
-    if n < 1:
-        raise ValueError(f"tree size must be >= 1, got {n}")
-    return n * (n - 1) // 2 - (n - 1)
 
 
 def sci(tree: DecompositionTree) -> SChiResult:

@@ -96,6 +96,8 @@ def test_non_utf8_input_is_an_input_error(tmp_path, monkeypatch, capsys):
     [
         ["gen", "--leaf-size", "0"],
         ["gen", "--depth", "-1"],
+        ["gen", "--depth", "2000", "--seed", "1"],
+        ["gen", "--count", "-1"],
         ["oracle", "--budget", "0"],
         ["oracle", "--budget", "-1"],
     ],
@@ -231,6 +233,6 @@ def test_run_config_from_args():
 def test_public_names_resolve_and_removed_ones_are_gone():
     for name in strongedge.__all__:
         assert getattr(strongedge, name) is not None, name
-    for name in ("im_value", "im_tree_value"):
+    for name in ("im_value", "im_tree_value", "graph_to_text", "graph_from_text", "sci_cotree"):
         assert name not in strongedge.__all__ and not hasattr(strongedge, name)
     assert not hasattr(cli, "cmd_bench")

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from collections import deque
 
@@ -6,17 +7,25 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from strongedge import (
+    CotreeLeaf,
+    DecompositionTree,
+    Graph,
     GraphError,
+    JoinNode,
+    PermutationDiagram,
     StrongEdgeColoring,
+    TreeLeaf,
     build_graph,
     complement,
-    graph_from_text,
-    graph_to_text,
     is_induced_matching,
     is_strong_edge_coloring,
     is_tree,
+    permutation_graph,
+    random_labeled_tree,
+    realize,
     square_of_linegraph,
 )
+from strongedge.graph import nonedges
 
 from strategies import graphs, trees
 
@@ -44,6 +53,29 @@ def test_build_graph_rejections():
         build_graph(3, [(0, 1), (1, 0)])
     with pytest.raises(GraphError, match="non-negative"):
         build_graph(-1, [])
+
+
+def test_graphs_built_in_the_package_peak_near_their_own_size():
+    # Graph trusts the edges these builders make, so building one
+    # allocates little beyond the Graph itself: no set of the edges and
+    # no second copy of them.
+    rng = random.Random(0)
+    join = DecompositionTree(JoinNode(
+        TreeLeaf(random_labeled_tree(300, rng)),
+        CotreeLeaf(random_labeled_tree(300, rng)),
+    ))
+    pi = list(range(600))
+    rng.shuffle(pi)
+    diagram = PermutationDiagram(600, tuple(pi))
+    for build in (lambda: realize(join), lambda: permutation_graph(diagram)):
+        tracemalloc.start()
+        try:
+            g = build()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.m > 80_000
+        assert peak <= 1.25 * retained, (g, retained, peak)
 
 
 def test_square_of_linegraph_examples():
@@ -119,22 +151,6 @@ def test_induced_matching_checker():
     assert is_induced_matching(p6, [])
 
 
-def test_graph_text_round_trip_with_comments():
-    text = "# a path\n4 3\n0 1\n\n1 2  # middle\n2 3\n"
-    g = graph_from_text(text)
-    assert g == P4
-    assert graph_from_text(graph_to_text(g)) == g
-
-
-def test_graph_text_rejections():
-    with pytest.raises(GraphError, match="empty"):
-        graph_from_text("# nothing here\n")
-    with pytest.raises(GraphError, match="header"):
-        graph_from_text("3\n")
-    with pytest.raises(GraphError, match="edge lines"):
-        graph_from_text("3 2\n0 1\n")
-
-
 def _linegraph_distance2_pairs(g):
     """Independent reference for L(g)^2: BFS in the linegraph, two levels."""
     incident = [[] for _ in range(g.n)]
@@ -177,6 +193,25 @@ def test_square_graph_is_what_build_graph_makes(g):
     sq = square_of_linegraph(g).graph
     ref = build_graph(g.m, sq.edges)
     assert sq.n == ref.n and sq.edges == ref.edges and sq.adj == ref.adj
+
+
+@given(graphs(), st.data())
+def test_graph_adjacency_is_what_build_graph_makes(g, data):
+    # build_graph normalizes each pair to u < v; Graph takes the
+    # normalized list as it is, adjacency order included
+    flipped = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in g.edges]
+    built = build_graph(g.n, flipped)
+    trusted = Graph(g.n, list(g.edges))
+    assert trusted.edges == built.edges and trusted.adj == built.adj
+
+
+@given(graphs())
+def test_nonedges_are_the_missing_pairs_in_lexicographic_order(g):
+    present = g.edge_set()
+    expected = [
+        (u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in present
+    ]
+    assert list(nonedges(g)) == expected
 
 
 @given(graphs())
@@ -230,8 +265,3 @@ def test_coloring_checker_on_linegraph_proper_colorings(g, rng):
 def test_trees_pass_is_tree(t):
     assert is_tree(t)
     assert t.m == t.n - 1
-
-
-@given(graphs())
-def test_text_round_trip(g):
-    assert graph_from_text(graph_to_text(g)) == g

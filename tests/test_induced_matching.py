@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given
 
 from strongedge import (
+    CotreeLeaf,
     DecompositionTree,
     GraphError,
     JoinNode,
@@ -18,6 +20,7 @@ from strongedge import (
     random_labeled_tree,
     realize,
     square_of_linegraph,
+    tree_from_prufer,
 )
 
 from strategies import decomposition_trees, trees
@@ -67,6 +70,16 @@ def test_cotree_leaf_witness_is_the_smallest_nonedge():
     # star underneath: vertex 0 sees everyone, so the nonedge is (1, 2)
     star = im(parse_decomposition('{"type":"cotree","n":4,"edges":[[0,1],[0,2],[0,3]]}'))
     assert star.value == 1 and star.witness == ((1, 2),)
+    # every labeled tree with 3 <= n <= 7
+    for n in range(3, 8):
+        for seq in itertools.product(range(n), repeat=n - 2):
+            t = tree_from_prufer(n, list(seq))
+            present = t.edge_set()
+            first = next(
+                pair for pair in itertools.combinations(range(n), 2) if pair not in present
+            )
+            res = im(DecompositionTree(CotreeLeaf(t)))
+            assert res.value == 1 and res.witness == (first,), (t.edges, res)
 
 
 def test_join_prefers_left_witness_then_right_then_cross():

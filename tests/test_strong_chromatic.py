@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 
 from strongedge import (
+    CotreeLeaf,
     DecompositionTree,
     GraphError,
     JoinNode,
@@ -16,7 +17,6 @@ from strongedge import (
     parse_decomposition,
     realize,
     sci,
-    sci_cotree,
     sci_tree,
     square_of_linegraph,
     strong_coloring,
@@ -43,11 +43,8 @@ def test_sci_tree_rejects_non_trees():
 
 
 def test_sci_cotree_examples():
-    assert sci_cotree(1) == 0
-    assert sci_cotree(4) == 3
-    assert sci_cotree(6) == 10
-    with pytest.raises(ValueError):
-        sci_cotree(0)
+    for t, value in [(build_graph(1, []), 0), (P4, 3), (STAR5, 10)]:
+        assert sci(DecompositionTree(CotreeLeaf(t))).value == value
 
 
 def test_sci_cotree_matches_oracle_on_a_six_vertex_tree():
@@ -55,7 +52,8 @@ def test_sci_cotree_matches_oracle_on_a_six_vertex_tree():
     t = build_graph(6, [(0, 1), (1, 2), (2, 3), (2, 4), (4, 5)])
     co = complement(t)
     sq = square_of_linegraph(co).graph
-    assert sci_cotree(6) == co.m == exact_chromatic_number(sq)
+    value = sci(DecompositionTree(CotreeLeaf(t))).value
+    assert value == co.m == exact_chromatic_number(sq)
 
 
 def test_sci_examples():
