@@ -1,9 +1,9 @@
 """Strong edge colorings and induced matchings of tree-cographs and
 permutation graphs, with exact brute-force oracles for cross-verification.
 
-The linear fast paths (`sci`, `im`) work on decomposition trees;
-`strong_coloring` and `strong_color_permutation` produce optimal
-certificates; everything in `oracle` exists to falsify the rest.
+`sci`, `im` and `strong_coloring` run in linear time on decomposition
+trees, and `strong_color_permutation` colors permutation graphs; `oracle`,
+`chordal` and `square_of_linegraph` exist to falsify the rest.
 """
 
 from .chordal import (
@@ -39,7 +39,7 @@ from .graph import (
     is_tree,
     square_of_linegraph,
 )
-from .induced_matching import InducedMatchingResult, im, im_tree
+from .induced_matching import InducedMatchingResult, im
 from .oracle import (
     BudgetExceededError,
     OracleReport,
@@ -64,7 +64,7 @@ from .permutation import (
     trapezoid_model,
     trapezoids_intersect,
 )
-from .strong_chromatic import SChiResult, sci, sci_tree, strong_coloring
+from .strong_chromatic import SChiResult, sci, strong_coloring
 
 __version__ = "0.1.0"
 
@@ -97,7 +97,6 @@ __all__ = [
     "greedy_trapezoid_coloring",
     "has_induced_cycle_at_least",
     "im",
-    "im_tree",
     "is_chordal",
     "is_clique",
     "is_induced_matching",
@@ -115,7 +114,6 @@ __all__ = [
     "random_tree_cograph",
     "realize",
     "sci",
-    "sci_tree",
     "serialize_decomposition",
     "square_of_linegraph",
     "strong_color_permutation",

@@ -63,11 +63,6 @@ class _VerificationFailed(Exception):
     """A certificate failed its check inside a command; `main` exits 1."""
 
 
-def _fail_verification(message: str) -> int:
-    print(f"verification failed: {message}", file=sys.stderr)
-    return 1
-
-
 def _input_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -84,9 +79,9 @@ def cmd_sci(args) -> int:
         g = realize(tree)
     if args.verify:
         if not is_strong_edge_coloring(g, coloring):
-            return _fail_verification("coloring is not a strong edge coloring")
+            raise _VerificationFailed("coloring is not a strong edge coloring")
         if coloring.palette_size != result.value:
-            return _fail_verification(
+            raise _VerificationFailed(
                 f"palette {coloring.palette_size} != index {result.value}"
             )
         out["verified"] = True
@@ -117,9 +112,9 @@ def cmd_im(args) -> int:
     if args.verify:
         g = realize(tree)
         if len(result.witness) != result.value:
-            return _fail_verification("witness size does not match the value")
+            raise _VerificationFailed("witness size does not match the value")
         if not is_induced_matching(g, list(result.witness)):
-            return _fail_verification("witness is not an induced matching")
+            raise _VerificationFailed("witness is not an induced matching")
         out["verified"] = True
     if args.json:
         print(json.dumps(out))
@@ -143,7 +138,7 @@ def cmd_perm(args) -> int:
     }
     if args.verify:
         if not is_strong_edge_coloring(g, coloring):
-            return _fail_verification("coloring is not a strong edge coloring")
+            raise _VerificationFailed("coloring is not a strong edge coloring")
         out["verified"] = True
     if args.color:
         out["coloring"] = _coloring_rows(g, coloring)
@@ -288,7 +283,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _VerificationFailed as exc:
-        return _fail_verification(str(exc))
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
     except BudgetExceededError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3

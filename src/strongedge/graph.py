@@ -3,6 +3,7 @@ strong edge coloring certificates."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -39,10 +40,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        """Set of normalized (u, v) pairs with u < v."""
-        return set(self.edges)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -89,24 +86,26 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, list(nonedges(g)))
 
 
-def is_tree(g: Graph) -> bool:
-    """True iff g is connected and acyclic (a single vertex counts)."""
-    if g.n == 0 or g.m != g.n - 1:
-        return False
+def bfs_tree(g: Graph) -> tuple[list[int], list[int]]:
+    """Breadth-first order of the vertices reachable from vertex 0, and
+    each vertex's parent in that search (-1 at vertex 0 and at unreached
+    vertices).  A vertex's children follow its adjacency order."""
+    parent = [-1] * g.n
     seen = [False] * g.n
     seen[0] = True
-    queue = [0]
-    reached = 1
-    while queue:
-        nxt: list[int] = []
-        for u in queue:
-            for w in g.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    reached += 1
-                    nxt.append(w)
-        queue = nxt
-    return reached == g.n
+    order = [0]
+    for u in order:
+        for w in g.adj[u]:
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = u
+                order.append(w)
+    return order, parent
+
+
+def is_tree(g: Graph) -> bool:
+    """True iff g is connected and acyclic (a single vertex counts)."""
+    return g.n > 0 and g.m == g.n - 1 and len(bfs_tree(g)[0]) == g.n
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,8 @@ def square_of_linegraph(g: Graph) -> SquaredLinegraph:
         incident[v].append(idx)
 
     # Each pair is found once, as (idx, other) with idx < other, so the
-    # square's Graph is built directly rather than revalidated.
+    # square's Graph is built directly rather than revalidated; incident
+    # lists ascend, so each scan starts just past idx.
     sq_edges: list[tuple[int, int]] = []
     mark = [-1] * m
     for idx, (u, v) in enumerate(g.edges):
@@ -143,8 +143,9 @@ def square_of_linegraph(g: Graph) -> SquaredLinegraph:
         centers.update(g.adj[u])
         centers.update(g.adj[v])
         for w in centers:
-            for other in incident[w]:
-                if other > idx and mark[other] != idx:
+            inc = incident[w]
+            for other in inc[bisect_right(inc, idx):]:
+                if mark[other] != idx:
                     mark[other] = idx
                     sq_edges.append((idx, other))
     return SquaredLinegraph(Graph(m, sq_edges), g)
@@ -210,17 +211,20 @@ def is_strong_edge_coloring(g: Graph, coloring: StrongEdgeColoring) -> bool:
 
 def is_induced_matching(g: Graph, pairs: list[tuple[int, int]]) -> bool:
     """True iff ``pairs`` are edges of g forming an induced matching: no two
-    share a vertex and no edge of g joins endpoints of two distinct pairs."""
-    present = g.edge_set()
+    share a vertex and no edge of g joins endpoints of two distinct pairs.
+    One pass over g's edges finds each pair's own edge and any edge between
+    two pairs."""
     owner = [-1] * g.n
     for i, (u, v) in enumerate(pairs):
         a, b = (u, v) if u < v else (v, u)
-        if (a, b) not in present:
-            return False
-        if owner[a] != -1 or owner[b] != -1:
+        if not 0 <= a < b < g.n or owner[a] != -1 or owner[b] != -1:
             return False
         owner[a] = owner[b] = i
+    inside = 0
     for u, v in g.edges:
-        if owner[u] != -1 and owner[v] != -1 and owner[u] != owner[v]:
-            return False
-    return True
+        ou, ov = owner[u], owner[v]
+        if ou != -1 and ov != -1:
+            if ou != ov:
+                return False
+            inside += 1
+    return inside == len(pairs)

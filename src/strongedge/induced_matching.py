@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .decomposition import CotreeLeaf, DecompositionTree, TreeLeaf, UnionNode
-from .graph import Graph, GraphError, is_tree, nonedges
+from .graph import Graph, bfs_tree, nonedges
 
-__all__ = ["InducedMatchingResult", "im", "im_tree"]
+__all__ = ["InducedMatchingResult", "im"]
 
 _NEG = -(1 << 60)
 
@@ -44,20 +44,7 @@ def _tree_dp(t: Graph):
     """
     n = t.n
     adj = t.adj
-    parent = [-1] * n
-    order = [0]
-    frontier = [0]
-    while frontier:
-        nxt: list[int] = []
-        for u in frontier:
-            pu = parent[u]
-            for w in adj[u]:
-                if w != pu:
-                    parent[w] = u
-                    nxt.append(w)
-        order.extend(nxt)
-        frontier = nxt
-
+    order, parent = bfs_tree(t)
     s0 = [0] * n
     s1 = [0] * n
     s2 = [_NEG] * n
@@ -88,14 +75,8 @@ def _tree_dp(t: Graph):
     return parent, s0, s1, s2, partner
 
 
-def im_tree(t: Graph) -> tuple[int, list[tuple[int, int]]]:
-    """iv of a tree with a witness matching (local vertex pairs), O(n)."""
-    if not is_tree(t):
-        raise GraphError("input is not a tree")
-    return _im_tree(t)
-
-
 def _im_tree(t: Graph) -> tuple[int, list[tuple[int, int]]]:
+    """iv of a tree with a witness matching (local vertex pairs), O(n)."""
     parent, s0, s1, s2, partner = _tree_dp(t)
     value = max(s1[0], s2[0])
     pairs: list[tuple[int, int]] = []

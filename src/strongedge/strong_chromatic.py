@@ -4,15 +4,14 @@ plus construction of an optimal strong edge coloring certificate.
 The index itself is a linear fold: leaves have closed forms (degree formula
 for trees, nonedge count for tree complements), a union takes the maximum
 and a join adds the cross-edge count to the sum of its children.  The
-certificate path pays extra (it builds each tree leaf's squared linegraph)
-and is kept separate so the value-only path stays linear.
+certificate costs O(1) per edge: one rooted pass colors each tree leaf,
+and the fold's values lay out the palette ranges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chordal import chordal_coloring
 from .decomposition import (
     CotreeLeaf,
     DecompNode,
@@ -21,9 +20,13 @@ from .decomposition import (
     TreeLeaf,
     UnionNode,
 )
-from .graph import Graph, GraphError, StrongEdgeColoring, is_tree, square_of_linegraph
+from .graph import Graph, StrongEdgeColoring, bfs_tree
 
-__all__ = ["SChiResult", "sci", "sci_tree", "strong_coloring"]
+# strong_coloring calls neither; bench/spans.py traces both by these names here.
+from .chordal import chordal_coloring  # noqa: F401
+from .graph import square_of_linegraph  # noqa: F401
+
+__all__ = ["SChiResult", "sci", "strong_coloring"]
 
 
 @dataclass(frozen=True)
@@ -34,14 +37,8 @@ class SChiResult:
     per_node: dict[DecompNode, int]
 
 
-def sci_tree(t: Graph) -> int:
-    """Strong chromatic index of a tree: max over edges of d(x)+d(y)-1."""
-    if not is_tree(t):
-        raise GraphError("input is not a tree")
-    return _sci_tree(t)
-
-
 def _sci_tree(t: Graph) -> int:
+    """Strong chromatic index of a tree: max over edges of d(x)+d(y)-1."""
     if t.m == 0:
         return 0
     deg = list(map(len, t.adj))
@@ -68,11 +65,31 @@ def sci(tree: DecompositionTree) -> SChiResult:
 def _tree_leaf_coloring(t: Graph) -> list[int]:
     """Optimal strong edge coloring of a tree, as colors per edge index.
 
-    L(t)^2 is chordal, so a greedy pass along a Lex-BFS order colors it
-    with exactly its clique number of colors; chordal_coloring verifies the
-    elimination ordering and aborts loudly if it is invalid.
+    Faudree, Gyarfas, Schelp and Tuza (1990): root t at vertex 0 and give
+    the root's edges colors 0..deg-1.  Top down, each child p of g gives
+    its child edges the first deg(p)-1 colors not on g's edges; siblings
+    share them, as edges below two children of g are three linegraph steps
+    apart.  No color reaches max d(x)+d(y)-1.  color[v] is the color of the
+    edge from v to its parent.
     """
-    return chordal_coloring(square_of_linegraph(t).graph)
+    adj = t.adj
+    order, parent = bfs_tree(t)
+    color = [0] * t.n
+    for i, w in enumerate(adj[0]):
+        color[w] = i
+    for g in order:
+        pg = parent[g]
+        kids = [p for p in adj[g] if p != pg]
+        need = max(map(len, map(adj.__getitem__, kids)), default=1) - 1
+        if need:
+            used = {color[p] for p in kids}
+            if pg != -1:
+                used.add(color[g])
+            free = [c for c in range(need + len(used)) if c not in used]
+            for p in kids:
+                for c, q in zip(free, [q for q in adj[p] if q != g]):
+                    color[q] = c
+    return [color[v] if parent[v] == u else color[u] for u, v in t.edges]
 
 
 def strong_coloring(tree: DecompositionTree) -> StrongEdgeColoring:

@@ -13,14 +13,15 @@ import numpy as np
 import pytest
 
 from strongedge import (
+    DecompositionTree,
     PermutationDiagram,
+    TreeLeaf,
     complement,
     exact_chromatic_number,
     exact_max_clique,
     exact_max_independent_set,
     has_induced_cycle_at_least,
     im,
-    im_tree,
     is_chordal,
     is_clique,
     is_induced_matching,
@@ -137,21 +138,21 @@ def test_criterion_05_tree_dp_exhaustive_and_random():
         for seq in itertools.product(range(n), repeat=max(0, n - 2)):
             t = tree_from_prufer(n, list(seq))
             exhaustive += 1
-            if im_tree(t)[0] != exact_max_independent_set(
+            if im(DecompositionTree(TreeLeaf(t))).value != exact_max_independent_set(
                 square_of_linegraph(t).graph
             ):
                 bad += 1
     rng = random.Random(5)
     for _ in range(10_000):
         t = random_labeled_tree(rng.randint(8, 16), rng)
-        if im_tree(t)[0] != exact_max_independent_set(
+        if im(DecompositionTree(TreeLeaf(t))).value != exact_max_independent_set(
             square_of_linegraph(t).graph
         ):
             bad += 1
     report(
         5,
         bad == 0,
-        f"im_tree == MIS(L(T)^2) on {exhaustive} exhaustive trees (n <= 7) "
+        f"im on a tree leaf == MIS(L(T)^2) on {exhaustive} exhaustive trees (n <= 7) "
         f"and 10000 random trees (n = 8..16) (mismatches: {bad})",
     )
 

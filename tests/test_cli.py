@@ -233,6 +233,9 @@ def test_run_config_from_args():
 def test_public_names_resolve_and_removed_ones_are_gone():
     for name in strongedge.__all__:
         assert getattr(strongedge, name) is not None, name
-    for name in ("im_value", "im_tree_value", "graph_to_text", "graph_from_text", "sci_cotree"):
+    for name in (
+        "im_value", "im_tree_value", "graph_to_text", "graph_from_text", "sci_cotree",
+        "sci_tree", "im_tree",
+    ):
         assert name not in strongedge.__all__ and not hasattr(strongedge, name)
     assert not hasattr(cli, "cmd_bench")

@@ -25,7 +25,7 @@ from strongedge import (
     realize,
     square_of_linegraph,
 )
-from strongedge.graph import nonedges
+from strongedge.graph import bfs_tree, nonedges
 
 from strategies import graphs, trees
 
@@ -80,11 +80,11 @@ def test_graphs_built_in_the_package_peak_near_their_own_size():
 
 def test_square_of_linegraph_examples():
     sq = square_of_linegraph(P4).graph
-    assert sq.n == 3 and sq.edge_set() == {(0, 1), (0, 2), (1, 2)}
+    assert sq.n == 3 and set(sq.edges) == {(0, 1), (0, 2), (1, 2)}
     two_edges = build_graph(4, [(0, 1), (2, 3)])
     assert square_of_linegraph(two_edges).graph.m == 0
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert square_of_linegraph(star).graph.edge_set() == {(0, 1), (0, 2), (1, 2)}
+    assert set(square_of_linegraph(star).graph.edges) == {(0, 1), (0, 2), (1, 2)}
 
 
 def test_is_strong_edge_coloring_examples():
@@ -119,8 +119,17 @@ def test_complement_examples():
     k3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
     assert complement(k3).m == 0
     # the complement of the path 0-1-2-3 is the path 2-0-3-1
-    assert complement(P4).edge_set() == {(0, 2), (0, 3), (1, 3)}
+    assert set(complement(P4).edges) == {(0, 2), (0, 3), (1, 3)}
     assert complement(build_graph(1, [])).n == 1
+
+
+def test_bfs_tree_order_and_parents():
+    # 0-1, 0-2, 1-3, 2-4 plus an isolated vertex 5
+    g = build_graph(6, [(0, 2), (0, 1), (1, 3), (2, 4)])
+    assert bfs_tree(g) == ([0, 2, 1, 4, 3], [-1, 0, 0, 1, 2, -1])
+    # a cycle is walked once
+    k3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+    assert bfs_tree(k3) == ([0, 1, 2], [-1, 0, 0])
 
 
 def test_is_tree():
@@ -149,6 +158,13 @@ def test_induced_matching_checker():
     assert not is_induced_matching(p6, [(0, 1), (1, 2)])  # share vertex 1
     assert not is_induced_matching(p6, [(0, 2)])  # not an edge
     assert is_induced_matching(p6, [])
+    assert is_induced_matching(p6, [(1, 0), (4, 3)])  # endpoint order is free
+    assert not is_induced_matching(p6, [(5, 6)])  # out of range
+    assert not is_induced_matching(p6, [(-1, 0)])
+    assert not is_induced_matching(p6, [(2, 2)])  # self-paired
+    assert not is_induced_matching(p6, [(0, 1), (0, 1)])  # repeated
+    assert not is_induced_matching(p6, [(0, 1), (1, 0)])
+    assert not is_induced_matching(p6, [(0, 1), (3, 5)])  # second is a non-edge
 
 
 def _linegraph_distance2_pairs(g):
@@ -183,7 +199,39 @@ def _linegraph_distance2_pairs(g):
 
 @given(graphs())
 def test_square_matches_bfs_reference(g):
-    assert square_of_linegraph(g).graph.edge_set() == _linegraph_distance2_pairs(g)
+    assert set(square_of_linegraph(g).graph.edges) == _linegraph_distance2_pairs(g)
+
+
+def _square_edges_full_scan(g):
+    """square_of_linegraph's edge list as emitted by a scan of every
+    incident entry at each center, skipping the indices at or below idx."""
+    incident = [[] for _ in range(g.n)]
+    for idx, (u, v) in enumerate(g.edges):
+        incident[u].append(idx)
+        incident[v].append(idx)
+    sq_edges = []
+    mark = [-1] * g.m
+    for idx, (u, v) in enumerate(g.edges):
+        centers = {u, v}
+        centers.update(g.adj[u])
+        centers.update(g.adj[v])
+        for w in centers:
+            for other in incident[w]:
+                if other > idx and mark[other] != idx:
+                    mark[other] = idx
+                    sq_edges.append((idx, other))
+    return sq_edges
+
+
+def test_square_edge_list_is_the_full_scan_list():
+    rng = random.Random(11)
+    cases = [random_labeled_tree(rng.randint(1, 120), rng) for _ in range(60)]
+    for _ in range(60):
+        pi = list(range(rng.randint(1, 60)))
+        rng.shuffle(pi)
+        cases.append(permutation_graph(PermutationDiagram(len(pi), tuple(pi))))
+    for g in cases:
+        assert square_of_linegraph(g).graph.edges == _square_edges_full_scan(g), g
 
 
 @given(graphs())
@@ -207,7 +255,7 @@ def test_graph_adjacency_is_what_build_graph_makes(g, data):
 
 @given(graphs())
 def test_nonedges_are_the_missing_pairs_in_lexicographic_order(g):
-    present = g.edge_set()
+    present = set(g.edges)
     expected = [
         (u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in present
     ]
@@ -217,7 +265,7 @@ def test_nonedges_are_the_missing_pairs_in_lexicographic_order(g):
 @given(graphs())
 def test_complement_is_an_involution(g):
     cc = complement(complement(g))
-    assert cc.n == g.n and cc.edge_set() == g.edge_set()
+    assert cc.n == g.n and set(cc.edges) == set(g.edges)
 
 
 @given(graphs(), st.data())

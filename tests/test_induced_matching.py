@@ -6,15 +6,14 @@ from hypothesis import given
 
 from strongedge import (
     CotreeLeaf,
+    DecompositionError,
     DecompositionTree,
-    GraphError,
     JoinNode,
     TreeLeaf,
     UnionNode,
     build_graph,
     exact_max_independent_set,
     im,
-    im_tree,
     is_induced_matching,
     parse_decomposition,
     random_labeled_tree,
@@ -30,23 +29,28 @@ K2_LEAF = '{"type":"tree","n":2,"edges":[[0,1]]}'
 P5_LEAF = '{"type":"tree","n":5,"edges":[[0,1],[1,2],[2,3],[3,4]]}'
 
 
-def test_im_tree_examples():
-    value, witness = im_tree(build_graph(2, [(0, 1)]))
-    assert value == 1 and witness == [(0, 1)]
+def leaf(t):
+    return DecompositionTree(TreeLeaf(t))
 
-    value, witness = im_tree(P5)
+
+def test_im_tree_examples():
+    res = im(leaf(build_graph(2, [(0, 1)])))
+    assert res.value == 1 and res.witness == ((0, 1),)
+
+    res = im(leaf(P5))
     # the only maximum induced matching of P5 is its first and last edge
-    assert value == 2 and sorted(witness) == [(0, 1), (3, 4)]
+    assert res.value == 2 and sorted(res.witness) == [(0, 1), (3, 4)]
 
     star = build_graph(6, [(0, i) for i in range(1, 6)])
-    assert im_tree(star)[0] == 1
+    assert im(leaf(star)).value == 1
 
-    assert im_tree(build_graph(1, [])) == (0, [])
+    res = im(leaf(build_graph(1, [])))
+    assert res.value == 0 and res.witness == ()
 
 
 def test_im_tree_rejects_non_trees():
-    with pytest.raises(GraphError, match="not a tree"):
-        im_tree(build_graph(3, [(0, 1), (1, 2), (0, 2)]))
+    with pytest.raises(DecompositionError, match="not a tree"):
+        TreeLeaf(build_graph(3, [(0, 1), (1, 2), (0, 2)]))
 
 
 def test_im_examples():
@@ -74,7 +78,7 @@ def test_cotree_leaf_witness_is_the_smallest_nonedge():
     for n in range(3, 8):
         for seq in itertools.product(range(n), repeat=n - 2):
             t = tree_from_prufer(n, list(seq))
-            present = t.edge_set()
+            present = set(t.edges)
             first = next(
                 pair for pair in itertools.combinations(range(n), 2) if pair not in present
             )
@@ -118,13 +122,13 @@ def test_union_adds_and_join_clamps(a, b):
 @given(trees(max_n=16))
 def test_im_tree_matches_oracle(t):
     sq = square_of_linegraph(t).graph
-    assert im_tree(t)[0] == exact_max_independent_set(sq)
+    assert im(leaf(t)).value == exact_max_independent_set(sq)
 
 
 def test_im_tree_on_long_random_paths_and_brooms():
     rng = random.Random(3)
     for n in (200, 500):
         t = random_labeled_tree(n, rng)
-        value, witness = im_tree(t)
-        assert value == len(witness)
-        assert is_induced_matching(t, witness)
+        res = im(leaf(t))
+        assert res.value == len(res.witness)
+        assert is_induced_matching(t, list(res.witness))

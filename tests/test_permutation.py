@@ -41,7 +41,7 @@ def test_permutation_graph_examples():
     assert permutation_graph(PermutationDiagram(3, (2, 1, 0))).m == 3
     assert permutation_graph(PermutationDiagram(3, (0, 1, 2))).m == 0
     g = permutation_graph(PermutationDiagram(4, (1, 0, 3, 2)))
-    assert g.edge_set() == {(0, 1), (2, 3)}
+    assert set(g.edges) == {(0, 1), (2, 3)}
 
 
 @given(permutation_diagrams(max_n=40))
@@ -171,7 +171,7 @@ def test_model_fidelity_against_squared_linegraph(d):
     traps = trapezoid_model(d, g)
     sq = square_of_linegraph(g).graph
     got = {(min(i, j), max(i, j)) for i, j in _intersection_pairs(traps)}
-    assert got == sq.edge_set()
+    assert got == set(sq.edges)
 
 
 @given(permutation_diagrams(max_n=12))

@@ -1,10 +1,14 @@
+import itertools
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
 from strongedge import (
     CotreeLeaf,
+    DecompositionError,
     DecompositionTree,
-    GraphError,
     JoinNode,
     TreeLeaf,
     UnionNode,
@@ -15,12 +19,14 @@ from strongedge import (
     im,
     is_strong_edge_coloring,
     parse_decomposition,
+    random_labeled_tree,
     realize,
     sci,
-    sci_tree,
     square_of_linegraph,
     strong_coloring,
+    tree_from_prufer,
 )
+from strongedge import chordal, graph, strong_chromatic
 
 from strategies import decomposition_trees, trees
 
@@ -30,16 +36,20 @@ K2_LEAF = '{"type":"tree","n":2,"edges":[[0,1]]}'
 JOIN_K2_K2 = f'{{"type":"join","children":[{K2_LEAF},{K2_LEAF}]}}'
 
 
+def leaf(t):
+    return DecompositionTree(TreeLeaf(t))
+
+
 def test_sci_tree_examples():
-    assert sci_tree(P4) == 3
-    assert sci_tree(STAR5) == 5
-    assert sci_tree(build_graph(2, [(0, 1)])) == 1
-    assert sci_tree(build_graph(1, [])) == 0
+    assert sci(leaf(P4)).value == 3
+    assert sci(leaf(STAR5)).value == 5
+    assert sci(leaf(build_graph(2, [(0, 1)]))).value == 1
+    assert sci(leaf(build_graph(1, []))).value == 0
 
 
 def test_sci_tree_rejects_non_trees():
-    with pytest.raises(GraphError, match="not a tree"):
-        sci_tree(build_graph(3, [(0, 1), (1, 2), (0, 2)]))
+    with pytest.raises(DecompositionError, match="not a tree"):
+        TreeLeaf(build_graph(3, [(0, 1), (1, 2), (0, 2)]))
 
 
 def test_sci_cotree_examples():
@@ -123,7 +133,76 @@ def test_union_takes_the_maximum(a, b):
 @given(trees(max_n=40))
 def test_sci_tree_equals_clique_number_of_the_square(t):
     sq = square_of_linegraph(t).graph
-    assert sci_tree(t) == exact_max_clique(sq)
+    assert sci(leaf(t)).value == exact_max_clique(sq)
+
+
+def _tree_colorings_are_strong_and_tight(trees_):
+    for t in trees_:
+        c = strong_coloring(leaf(t))
+        assert is_strong_edge_coloring(t, c), t.edges
+        assert c.palette_size == sci(leaf(t)).value, t.edges
+
+
+def test_tree_leaf_coloring_on_every_labeled_tree_up_to_eight_vertices():
+    _tree_colorings_are_strong_and_tight(
+        tree_from_prufer(n, list(seq))
+        for n in range(1, 9)
+        for seq in itertools.product(range(n), repeat=max(0, n - 2))
+    )
+
+
+def test_tree_leaf_coloring_on_seeded_random_trees():
+    rng = random.Random(8)
+    _tree_colorings_are_strong_and_tight(
+        random_labeled_tree(rng.randint(1, n_hi), rng)
+        for n_hi in (10, 100, 1000)
+        for _ in range(100)
+    )
+
+
+def _spider(legs, length):
+    edges = []
+    for leg in range(legs):
+        prev = 0
+        for step in range(length):
+            v = 1 + leg * length + step
+            edges.append((prev, v))
+            prev = v
+    return build_graph(1 + legs * length, edges)
+
+
+@given(decomposition_trees(max_leaf_n=8, max_internal=4))
+def test_strong_coloring_needs_no_squared_linegraph(t):
+    # the oracle-side machinery is kept out of the certificate path
+    def unreachable(*args):
+        raise AssertionError("strong_coloring reached the chordal path")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (graph, strong_chromatic):
+            mp.setattr(module, "square_of_linegraph", unreachable)
+        for module in (chordal, strong_chromatic):
+            mp.setattr(module, "chordal_coloring", unreachable)
+        mp.setattr(chordal, "lexbfs_order", unreachable)
+        c = strong_coloring(t)
+    assert is_strong_edge_coloring(realize(t), c)
+    assert c.palette_size == sci(t).value
+
+
+@pytest.mark.parametrize("t", [_spider(3000, 1), _spider(1500, 2)], ids=["star", "spider"])
+def test_tree_leaf_coloring_peaks_near_the_leaf_size(t):
+    # L(T)^2 of a 3,000-leaf star is a clique of 4.5 million edges, which
+    # peaked near 1 GB; the rooted pass holds a few lists of n entries.
+    tracemalloc.start()
+    try:
+        tree = leaf(build_graph(t.n, t.edges))
+        size = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        c = strong_coloring(tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.palette_size == sci(tree).value
+    assert peak <= 4 * size, (size, peak)
 
 
 @given(decomposition_trees())
