@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .decomposition import (
     DecompositionError,
+    is_induced_matching_in,
     parse_decomposition,
     random_tree_cograph,
     realize,
@@ -23,7 +24,7 @@ from .decomposition import (
 )
 from .graph import (
     GraphError,
-    is_induced_matching,
+    is_induced_matching,  # unused here; bench/spans.py traces it by this name
     is_strong_edge_coloring,
     square_of_linegraph,
 )
@@ -110,10 +111,9 @@ def cmd_im(args) -> int:
         "witness": witness,
     }
     if args.verify:
-        g = realize(tree)
         if len(result.witness) != result.value:
             raise _VerificationFailed("witness size does not match the value")
-        if not is_induced_matching(g, list(result.witness)):
+        if not is_induced_matching_in(tree, result.witness):
             raise _VerificationFailed("witness is not an induced matching")
         out["verified"] = True
     if args.json:
@@ -222,8 +222,8 @@ def cmd_gen(args) -> int:
     for _ in range(args.count):
         try:
             tree = random_tree_cograph(rng.getrandbits(63), args.depth, args.leaf_size)
-        except RecursionError:
-            return _input_error(f"--depth {args.depth}: generated nesting is too deep")
+        except ValueError as exc:
+            return _input_error(f"--depth {args.depth}: {exc}")
         print(serialize_decomposition(tree))
     return 0
 

@@ -5,7 +5,8 @@ or union operations and whose leaves carry a tree t, representing either t
 itself or the complement of t.  The complement is a label, never data: a
 cotree leaf describes Theta(n^2) edges with an O(n) tree, which is what
 makes the index computations linear.  `realize` materializes the graph for
-verification and small instances only.
+verification and small instances only; `is_induced_matching_in` checks a
+matching on the decomposition itself.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "parse_decomposition",
     "serialize_decomposition",
     "realize",
+    "is_induced_matching_in",
     "tree_from_prufer",
     "random_labeled_tree",
     "random_tree_cograph",
@@ -37,7 +39,7 @@ class DecompositionError(ValueError):
     """Raised for malformed or invalid decomposition documents."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class _Leaf:
     """A leaf over the tree t; constructing one checks that t is a tree."""
 
@@ -55,6 +57,8 @@ class _Leaf:
 class TreeLeaf(_Leaf):
     """The tree t itself."""
 
+    __slots__ = ()
+
     @property
     def m(self) -> int:
         return self.t.m
@@ -63,6 +67,8 @@ class TreeLeaf(_Leaf):
 class CotreeLeaf(_Leaf):
     """The complement of t, a label never materialized here."""
 
+    __slots__ = ()
+
     @property
     def m(self) -> int:
         # all pairs less the n - 1 tree edges
@@ -70,7 +76,7 @@ class CotreeLeaf(_Leaf):
         return n * (n - 1) // 2 - (n - 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class _Internal:
     """An operation over two subtrees; its n and m are set once, from the
     children's, when it is constructed."""
@@ -94,9 +100,13 @@ class _Internal:
 class JoinNode(_Internal):
     """Every vertex of the left subtree adjacent to every vertex of the right."""
 
+    __slots__ = ()
+
 
 class UnionNode(_Internal):
     """The disjoint union of the two subtrees."""
+
+    __slots__ = ()
 
 
 DecompNode = TreeLeaf | CotreeLeaf | JoinNode | UnionNode
@@ -184,18 +194,22 @@ def parse_decomposition(text: str) -> DecompositionTree:
 
 
 def _node_from_obj(obj, path: str = "$") -> DecompNode:
+    # Each child is popped off its parent's children list as it is pushed,
+    # and an internal node's entry keeps only its class and child count,
+    # so every JSON node is freed once it is converted: the document
+    # shrinks as the tree grows.  An entry is (object, path, 0) for a node
+    # to convert, or (JoinNode or UnionNode, path, k) for one whose k
+    # converted children are the last k results.
     results: list[DecompNode] = []
-    stack: list[tuple[object, str, bool]] = [(obj, path, False)]
+    stack: list[tuple] = [(obj, path, 0)]
     while stack:
-        o, p, done = stack.pop()
-        if done:
-            k = len(o["children"])
+        o, p, k = stack.pop()
+        if k:
             children = results[len(results) - k :]
             del results[len(results) - k :]
-            cls = JoinNode if o["type"] == "join" else UnionNode
-            node: DecompNode = cls(children[0], children[1])
+            node: DecompNode = o(children[0], children[1])
             for extra in children[2:]:
-                node = cls(node, extra)
+                node = o(node, extra)
             results.append(node)
             continue
         if not isinstance(o, dict):
@@ -212,9 +226,9 @@ def _node_from_obj(obj, path: str = "$") -> DecompNode:
                 raise DecompositionError(
                     f"{p}: 'children' must be a list of at least two nodes"
                 )
-            stack.append((o, p, True))
+            stack.append((JoinNode if kind == "join" else UnionNode, p, len(children)))
             for i in range(len(children) - 1, -1, -1):
-                stack.append((children[i], f"{p}.children[{i}]", False))
+                stack.append((children.pop(), f"{p}.children[{i}]", 0))
         elif kind is None:
             raise DecompositionError(f"{p}: missing 'type'")
         else:
@@ -222,34 +236,49 @@ def _node_from_obj(obj, path: str = "$") -> DecompNode:
     return results[0]
 
 
-def _plain_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _leaf_from_obj(obj: dict, path: str) -> DecompNode:
+    """Read a leaf in one pass over its pairs.  JSON has no int subclass
+    but bool, so ``type(x) is int`` is the integer check.  n - 1 pairs in
+    range that connect n vertices contain no loop and no repeat, so the
+    leaf's tree check covers both and the accepted path needs no duplicate
+    set.  A rejected leaf is read again by `build_graph`, whose error names
+    the first bad pair."""
     extra = set(obj) - {"type", "n", "edges"}
     if extra:
         raise DecompositionError(f"{path}: unexpected keys {sorted(extra)}")
     n = obj.get("n")
-    if not _plain_int(n) or n < 1:
+    if type(n) is not int or n < 1:
         raise DecompositionError(f"{path}: 'n' must be a positive integer")
     edges = obj.get("edges")
     if not isinstance(edges, list):
         raise DecompositionError(f"{path}: 'edges' must be a list of pairs")
     pairs: list[tuple[int, int]] = []
+    in_range = True
     for i, e in enumerate(edges):
-        if not (isinstance(e, list) and len(e) == 2 and all(map(_plain_int, e))):
+        if not (type(e) is list and len(e) == 2
+                and type(e[0]) is int and type(e[1]) is int):
             raise DecompositionError(f"{path}.edges[{i}]: expected a pair of integers")
-        pairs.append((e[0], e[1]))
-    # Checked before build_graph, which allocates n adjacency lists: an
-    # edgeless leaf with a huge n is a few bytes of document.
+        u, v = e
+        if u > v:
+            u, v = v, u
+        if u < 0 or v >= n:
+            in_range = False
+        pairs.append((u, v))
+    # Checked before any graph is built, which allocates n adjacency
+    # lists: an edgeless leaf with a huge n is a few bytes of document.
     if len(pairs) != n - 1:
         raise DecompositionError(f"{path}: leaf graph is not a tree")
+    leaf = TreeLeaf if obj["type"] == "tree" else CotreeLeaf
+    if in_range:
+        try:
+            return leaf(Graph(n, pairs))
+        except DecompositionError:
+            pass
     try:
-        t = build_graph(n, pairs)
-        return TreeLeaf(t) if obj["type"] == "tree" else CotreeLeaf(t)
-    except (GraphError, DecompositionError) as exc:
+        build_graph(n, edges)
+    except GraphError as exc:
         raise DecompositionError(f"{path}: {exc}") from None
+    raise DecompositionError(f"{path}: leaf graph is not a tree")
 
 
 def serialize_decomposition(tree: DecompositionTree) -> str:
@@ -307,6 +336,84 @@ def realize(tree: DecompositionTree) -> Graph:
     return Graph(tree.n, edges)
 
 
+def is_induced_matching_in(tree: DecompositionTree, pairs) -> bool:
+    """True iff ``pairs`` is an induced matching of the graph the tree
+    represents, the verdict `is_induced_matching` gives on `realize(tree)`,
+    in time and memory linear in the tree and the pairs.
+
+    The endpoints must be distinct and in range, and each endpoint must
+    have exactly one neighbour among the endpoints: its partner.  A
+    vertex's neighbours outside its leaf are the vertices across each join
+    above it, so one pass up counts each node's endpoints and keeps one of
+    them, and one pass down sums, per node, the endpoints joined to it from
+    outside and keeps one.  Within a leaf, an endpoint's neighbours among
+    the endpoints are its tree neighbours, or the leaf's other endpoints
+    less those in a cotree leaf.  Per-node values are lists by post-order
+    position; a node's right child sits just before it.
+    """
+    n = tree.n
+    partner = [-1] * n
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            return False
+        if partner[u] != -1 or partner[v] != -1:
+            return False
+        partner[u] = v
+        partner[v] = u
+    order = tree.order
+    size = len(order)
+    count = [0] * size  # endpoints in the node's graph
+    some = [-1] * size  # one of them, or -1
+    left = [-1] * size  # position of an internal node's left child
+    offset = [0] * size
+    stack: list[int] = []
+    for i, (node, off) in enumerate(tree.placed()):
+        offset[i] = off
+        if isinstance(node, _Leaf):
+            for x in range(off, off + node.n):
+                if partner[x] != -1:
+                    count[i] += 1
+                    some[i] = x
+        else:
+            r = stack.pop()
+            left[i] = lf = stack.pop()
+            count[i] = count[lf] + count[r]
+            some[i] = some[lf] if some[lf] != -1 else some[r]
+        stack.append(i)
+    joined = [0] * size  # endpoints joined to the node from outside it
+    via = [-1] * size  # one of them, or -1
+    for i in range(size - 1, -1, -1):
+        node = order[i]
+        if isinstance(node, _Internal):
+            for child, other in ((left[i], i - 1), (i - 1, left[i])):
+                joined[child] = joined[i]
+                via[child] = via[i]
+                if isinstance(node, JoinNode) and count[other]:
+                    joined[child] += count[other]
+                    via[child] = some[other]
+            continue
+        if not count[i]:
+            continue
+        off = offset[i]
+        ends = [x - off for x in range(off, off + node.n) if partner[x] != -1]
+        cotree = isinstance(node, CotreeLeaf)
+        for x in ends:
+            near = [w for w in node.t.adj[x] if partner[w + off] != -1]
+            inside = len(ends) - 1 - len(near) if cotree else len(near)
+            if inside + joined[i] != 1:
+                return False
+            if joined[i]:
+                y = via[i]
+            elif cotree:
+                skip = {x, *near}
+                y = next(w for w in ends if w not in skip) + off
+            else:
+                y = near[0] + off
+            if partner[x + off] != y:
+                return False
+    return True
+
+
 def tree_from_prufer(n: int, seq: list[int]) -> Graph:
     """Decode a Prufer sequence of length n-2 into a labeled tree on n
     vertices.  Linear time via the moving-pointer decode."""
@@ -350,6 +457,12 @@ def random_labeled_tree(n: int, rng: random.Random) -> Graph:
     return tree_from_prufer(n, [rng.randrange(n) for _ in range(n - 2)])
 
 
+# Each position is internal with probability 0.65 and then has two
+# children, so a tree that survives grows about 1.3x per level: unchecked,
+# depth 60 can mean billions of nodes.  Generation stops past this many.
+_GEN_NODE_CAP = 50_000
+
+
 def random_tree_cograph(
     seed: int, max_depth: int, max_leaf_size: int
 ) -> DecompositionTree:
@@ -358,20 +471,34 @@ def random_tree_cograph(
     Depth 0 forces a single leaf; otherwise each position is a leaf with
     fixed probability, an internal join/union node otherwise.  Leaf trees
     are uniform labeled trees of random size up to max_leaf_size.
+    Positions are drawn in pre-order (node, left subtree, right subtree)
+    by an explicit stack; a tree that would pass _GEN_NODE_CAP nodes
+    raises ValueError.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     if max_leaf_size < 1:
         raise ValueError(f"max_leaf_size must be >= 1, got {max_leaf_size}")
     rng = random.Random(seed)
-
-    def gen(depth: int) -> DecompNode:
-        if depth == 0 or rng.random() < 0.35:
+    results: list[DecompNode] = []
+    # An entry is a depth still to draw, or the class of an internal
+    # node whose two subtrees are the last two results.
+    stack: list = [max_depth]
+    nodes = 0
+    while stack:
+        item = stack.pop()
+        if not isinstance(item, int):
+            right = results.pop()
+            results.append(item(results.pop(), right))
+            continue
+        nodes += 1
+        if nodes > _GEN_NODE_CAP:
+            raise ValueError(f"the generated tree passes {_GEN_NODE_CAP} nodes")
+        if item == 0 or rng.random() < 0.35:
             t = random_labeled_tree(rng.randint(1, max_leaf_size), rng)
-            return TreeLeaf(t) if rng.random() < 0.5 else CotreeLeaf(t)
-        cls = JoinNode if rng.random() < 0.5 else UnionNode
-        left = gen(depth - 1)
-        right = gen(depth - 1)
-        return cls(left, right)
-
-    return DecompositionTree(gen(max_depth))
+            results.append(TreeLeaf(t) if rng.random() < 0.5 else CotreeLeaf(t))
+        else:
+            stack.append(JoinNode if rng.random() < 0.5 else UnionNode)
+            stack.append(item - 1)
+            stack.append(item - 1)
+    return DecompositionTree(results[0])

@@ -1,10 +1,13 @@
+import dataclasses
 import io
 import json
+import random
+import tracemalloc
 
 import pytest
 
 import strongedge
-from strongedge import cli
+from strongedge import cli, random_labeled_tree
 from strongedge.cli import build_parser, main
 
 JOIN_K2_K2 = json.dumps({
@@ -100,6 +103,8 @@ def test_non_utf8_input_is_an_input_error(tmp_path, monkeypatch, capsys):
         ["gen", "--count", "-1"],
         ["oracle", "--budget", "0"],
         ["oracle", "--budget", "-1"],
+        # a surviving tree grows about 1.3x per level: stopped at the node cap
+        ["gen", "--depth", "60", "--seed", "1"],
     ],
 )
 def test_bad_arguments_are_input_errors(argv, capsys):
@@ -163,6 +168,45 @@ def test_failed_verification_exits_one(monkeypatch, capsys):
     assert "verification failed" in capsys.readouterr().err
 
 
+def test_im_verify_rejects_a_bad_witness(monkeypatch, capsys):
+    real_im = cli.im
+
+    def shifted(tree):
+        # the second path's first edge (5, 6) replaced by its neighbour (6, 7)
+        result = real_im(tree)
+        witness = ((0, 1), (3, 4), (6, 7), (8, 9))
+        assert result.witness != witness
+        return dataclasses.replace(result, witness=witness)
+
+    monkeypatch.setattr("strongedge.cli.im", shifted)
+    feed(monkeypatch, UNION_P5_P5)
+    assert main(["im", "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verification failed: witness is not an induced matching\n"
+
+
+def test_im_verify_peaks_near_the_tree_size(tmp_path, capsys):
+    """A join of two 300-vertex trees stands for about 90,000 edges; the
+    check reads the decomposition, so it holds none of them."""
+    rng = random.Random(5)
+    leaves = [random_labeled_tree(300, rng) for _ in range(2)]
+    doc = json.dumps({"type": "join", "children": [
+        {"type": "tree", "n": t.n, "edges": [list(e) for e in t.edges]} for t in leaves
+    ]})
+    path = tmp_path / "join.json"
+    path.write_text(doc, encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code = main(["im", "--json", "--verify", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["verified"] is True and out["m"] > 90_000
+    assert peak < 1 << 20
+
+
 def test_oracle_failed_permutation_verification_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(
         "strongedge.cli.is_strong_edge_coloring", lambda g, c: False
@@ -177,10 +221,12 @@ def test_oracle_failed_permutation_verification_exits_one(monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["sci", "im"])
 def test_out_of_memory_is_an_input_error(command, monkeypatch, capsys):
-    def exhausted(tree):
+    def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr("strongedge.cli.realize", exhausted)
+    # the call each command's --verify makes on the whole tree
+    target = {"sci": "realize", "im": "is_induced_matching_in"}[command]
+    monkeypatch.setattr(f"strongedge.cli.{target}", exhausted)
     feed(monkeypatch, JOIN_K2_K2)
     assert main([command, "--verify"]) == 2
     captured = capsys.readouterr()

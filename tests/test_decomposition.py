@@ -5,19 +5,22 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from strongedge import (
     CotreeLeaf,
     DecompositionError,
     DecompositionTree,
+    GraphError,
     JoinNode,
     TreeLeaf,
     UnionNode,
     build_graph,
     complement,
     im,
+    is_induced_matching,
+    is_induced_matching_in,
     is_tree,
     parse_decomposition,
     random_labeled_tree,
@@ -361,3 +364,230 @@ def test_cotree_leaf_realizes_the_complement():
         base = random_labeled_tree(rng.randint(1, 8), rng)
         t = DecompositionTree(CotreeLeaf(base))
         assert set(realize(t).edges) == set(complement(base).edges)
+
+
+def test_random_tree_cograph_stops_at_the_node_cap(monkeypatch):
+    from strongedge import decomposition
+
+    nodes = len(random_tree_cograph(5, 6, 4).order)
+    assert nodes > 1
+    monkeypatch.setattr(decomposition, "_GEN_NODE_CAP", nodes)
+    assert len(random_tree_cograph(5, 6, 4).order) == nodes
+    monkeypatch.setattr(decomposition, "_GEN_NODE_CAP", nodes - 1)
+    with pytest.raises(ValueError, match=f"passes {nodes - 1} nodes"):
+        random_tree_cograph(5, 6, 4)
+
+
+def test_parse_peaks_near_the_tree_it_returns():
+    """Each JSON node is freed once it is converted, so the document and
+    the tree are never both whole in memory."""
+    rng = random.Random(11)
+    leaves = []
+    for _ in range(4000):
+        t = random_labeled_tree(rng.randint(1, 8), rng)
+        leaves.append({"type": "tree", "n": t.n, "edges": [list(e) for e in t.edges]})
+    text = json.dumps({"type": "union", "children": leaves})
+    del leaves
+    tracemalloc.start()
+    try:
+        tree = parse_decomposition(text)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tree.order) == 7999
+    assert peak <= 1.3 * size
+
+
+# --- the leaf reader against the route it replaced ---------------------------
+
+
+def _reference_leaf(obj, path="$"):
+    """Leaves as they were read before: every pair type-checked, then
+    `build_graph`, which rejects bad and repeated pairs, then the leaf's
+    own tree check."""
+
+    def plain_int(x):
+        return isinstance(x, int) and not isinstance(x, bool)
+
+    extra = set(obj) - {"type", "n", "edges"}
+    if extra:
+        raise DecompositionError(f"{path}: unexpected keys {sorted(extra)}")
+    n = obj.get("n")
+    if not plain_int(n) or n < 1:
+        raise DecompositionError(f"{path}: 'n' must be a positive integer")
+    edges = obj.get("edges")
+    if not isinstance(edges, list):
+        raise DecompositionError(f"{path}: 'edges' must be a list of pairs")
+    pairs = []
+    for i, e in enumerate(edges):
+        if not (isinstance(e, list) and len(e) == 2 and all(map(plain_int, e))):
+            raise DecompositionError(f"{path}.edges[{i}]: expected a pair of integers")
+        pairs.append((e[0], e[1]))
+    if len(pairs) != n - 1:
+        raise DecompositionError(f"{path}: leaf graph is not a tree")
+    try:
+        t = build_graph(n, pairs)
+        return TreeLeaf(t) if obj["type"] == "tree" else CotreeLeaf(t)
+    except (GraphError, DecompositionError) as exc:
+        raise DecompositionError(f"{path}: {exc}") from None
+
+
+_ODD_VALUES = [True, False, None, 1.0, 2.5, "1", "x", [], {}, [0, 1]]
+
+
+def _malformed_leaf(rng):
+    """A leaf document with up to three random faults."""
+    n = rng.randint(1, 7)
+    t = random_labeled_tree(n, rng)
+    edges = [[u, v] if rng.random() < 0.5 else [v, u] for u, v in t.edges]
+    obj = {"type": rng.choice(["tree", "cotree"]), "n": n, "edges": edges}
+    for _ in range(rng.randint(0, 3)):
+        fault = rng.randrange(9)
+        if fault == 0:
+            obj["n"] = rng.choice(_ODD_VALUES + [0, -1, n - 1, n + 1, 10**6])
+        elif fault == 1 and edges:
+            e = rng.choice(edges)
+            if isinstance(e, list) and e:
+                e[rng.randrange(len(e))] = rng.choice(
+                    _ODD_VALUES + [-1, n, n + 3, e[0], e[-1]]
+                )
+        elif fault == 2 and edges:
+            i = rng.randrange(len(edges))
+            edges[i] = rng.choice([[0], [0, 1, 2], [], "01", None, 3, {"u": 0}])
+        elif fault == 3 and edges:
+            e = rng.choice(edges)
+            copy = list(reversed(e)) if isinstance(e, list) and rng.random() < 0.5 else e
+            edges.insert(rng.randrange(len(edges) + 1), copy)
+        elif fault == 4 and edges:
+            edges.pop(rng.randrange(len(edges)))
+        elif fault == 5 and edges:
+            edges[rng.randrange(len(edges))] = [rng.randrange(n), rng.randrange(n)]
+        elif fault == 6:
+            edges.append([rng.randrange(-1, n + 1), rng.randrange(-1, n + 1)])
+        elif fault == 7:
+            obj[rng.choice(["extra", "children", "m"])] = 1
+        else:
+            key = rng.choice(["n", "edges"])
+            if rng.random() < 0.5:
+                obj.pop(key, None)
+            else:
+                obj[key] = rng.choice(_ODD_VALUES)
+    return obj
+
+
+def _outcome(read, obj):
+    try:
+        leaf = read(obj)
+    except DecompositionError as exc:
+        return "rejected", str(exc)
+    return type(leaf).__name__, leaf.t.n, leaf.t.edges
+
+
+def test_leaf_reader_matches_the_build_graph_route():
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(20_000):
+        text = json.dumps(_malformed_leaf(rng))
+        got = _outcome(lambda o: parse_decomposition(text).root, None)
+        want = _outcome(_reference_leaf, json.loads(text))
+        assert got == want, text
+        seen.add(got[1] if got[0] == "rejected" else got[0])
+    # both leaf kinds were accepted and every rejection was reached
+    for outcome in ("TreeLeaf", "CotreeLeaf", "duplicate edge", "self-loop", "outside 0..",
+                    "not a tree", "pair of integers", "positive integer",
+                    "'edges' must be a list", "unexpected keys"):
+        assert any(outcome in text for text in seen), outcome
+
+
+# --- the induced-matching check on the decomposition -------------------------
+
+
+def _agree(t, g, pairs):
+    assert is_induced_matching_in(t, pairs) == is_induced_matching(g, pairs), pairs
+
+
+def test_induced_matching_in_examples():
+    p3 = '{"type":"tree","n":3,"edges":[[0,1],[1,2]]}'
+    union = parse_decomposition(f'{{"type":"union","children":[{p3},{K2_LEAF}]}}')
+    join = parse_decomposition(f'{{"type":"join","children":[{p3},{K2_LEAF}]}}')
+    # the complement of a star: a triangle on 1, 2, 3 and the isolated 0
+    costar = parse_decomposition('{"type":"cotree","n":4,"edges":[[0,1],[0,2],[0,3]]}')
+    cases = [
+        (union, [(0, 1), (3, 4)], True),
+        (union, [(4, 3), (2, 1)], True),
+        (union, [(0, 3)], False),  # across the union
+        (union, [(0, 1), (1, 2)], False),  # shared endpoint
+        (union, [(3, 3)], False),
+        (union, [(4, 5)], False),
+        (union, [(-1, 0)], False),
+        (join, [(0, 3)], True),
+        (join, [(2, 4)], True),
+        (join, [(0, 3), (2, 4)], False),  # joined through 0 ~ 4
+        (join, [(0, 1), (3, 4)], False),
+        (costar, [(1, 3)], True),
+        (costar, [(0, 1)], False),
+        (costar, [(1, 2), (0, 3)], False),
+        (costar, [], True),
+    ]
+    for t, pairs, expected in cases:
+        assert is_induced_matching_in(t, pairs) is expected, pairs
+        assert is_induced_matching(realize(t), pairs) is expected, pairs
+
+
+def test_induced_matching_in_on_every_two_pair_set():
+    """Every set of at most two vertex pairs of 40 small decompositions."""
+    checked = 0
+    seed = 0
+    while checked < 40:
+        t = random_tree_cograph(seed, 3, 4)
+        seed += 1
+        if not 4 <= t.n <= 9:
+            continue
+        checked += 1
+        g = realize(t)
+        pairs = [(u, v) for u in range(t.n) for v in range(u + 1, t.n)]
+        _agree(t, g, list(im(t).witness))
+        for a in pairs:
+            _agree(t, g, [a])
+            for b in pairs:
+                _agree(t, g, [a, b])
+
+
+@settings(max_examples=200)
+@given(decomposition_trees(max_leaf_n=6), st.data())
+def test_induced_matching_in_agrees_with_the_realized_graph(t, data):
+    g = realize(t)
+    vertex = st.integers(-1, t.n)
+
+    def inside(lo, hi):
+        return st.integers(lo, hi - 1)
+
+    witness = list(im(t).witness)
+    _agree(t, g, witness)
+    if witness:
+        # one witness edge replaced by an edge sharing one of its endpoints
+        i = data.draw(st.integers(0, len(witness) - 1))
+        w = data.draw(st.sampled_from(witness[i]))
+        x = data.draw(st.sampled_from(g.adj[w]))
+        _agree(t, g, witness[:i] + [(w, x)] + witness[i + 1 :])
+    for node, off in t.placed():
+        if isinstance(node, CotreeLeaf):
+            # pairs within a cotree leaf
+            pair = st.tuples(inside(off, off + node.n), inside(off, off + node.n))
+            _agree(t, g, data.draw(st.lists(pair, min_size=1, max_size=3)))
+        elif isinstance(node, (JoinNode, UnionNode)):
+            mid = off + node.left.n
+            end = off + node.n
+            # a pair split by the node, with another pair on one side or across
+            first = (data.draw(inside(off, mid)), data.draw(inside(mid, end)))
+            second = (data.draw(inside(off, end)), data.draw(vertex))
+            _agree(t, g, [first])
+            _agree(t, g, [first, second])
+            if g.edges:
+                _agree(t, g, [first, data.draw(st.sampled_from(g.edges))])
+    # arbitrary pairs: shared endpoints, self-pairs, out of range, repeats
+    pair = st.tuples(vertex, vertex)
+    if g.edges:
+        pair = st.one_of(pair, st.sampled_from(g.edges))
+    for _ in range(3):
+        _agree(t, g, data.draw(st.lists(pair, max_size=5)))
