@@ -44,15 +44,12 @@ from .induced_matching import InducedMatchingResult, im
 from .oracle import (
     BudgetExceededError,
     OracleReport,
-    chromatic_number_exhaustive,
     exact_chromatic_number,
     exact_max_clique,
     exact_max_independent_set,
     has_induced_cycle_at_least,
     is_clique,
     is_ptolemaic,
-    max_clique_exhaustive,
-    max_independent_set_exhaustive,
 )
 from .permutation import (
     PermutationDiagram,
@@ -90,7 +87,6 @@ __all__ = [
     "UnionNode",
     "build_graph",
     "chordal_coloring",
-    "chromatic_number_exhaustive",
     "complement",
     "exact_chromatic_number",
     "exact_max_clique",
@@ -107,8 +103,6 @@ __all__ = [
     "is_strong_edge_coloring",
     "is_tree",
     "lexbfs_order",
-    "max_clique_exhaustive",
-    "max_independent_set_exhaustive",
     "parse_decomposition",
     "parse_permutation",
     "permutation_graph",

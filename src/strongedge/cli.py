@@ -223,7 +223,9 @@ def cmd_gen(args) -> int:
         try:
             tree = random_tree_cograph(rng.getrandbits(63), args.depth, args.leaf_size)
         except ValueError as exc:
-            return _input_error(f"--depth {args.depth}: {exc}")
+            return _input_error(
+                f"--depth {args.depth} --leaf-size {args.leaf_size}: {exc}"
+            )
         print(serialize_decomposition(tree))
     return 0
 

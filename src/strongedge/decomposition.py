@@ -461,6 +461,10 @@ def random_labeled_tree(n: int, rng: random.Random) -> Graph:
 # children, so a tree that survives grows about 1.3x per level: unchecked,
 # depth 60 can mean billions of nodes.  Generation stops past this many.
 _GEN_NODE_CAP = 50_000
+# The node cap does not bound the leaves' sizes: one --leaf-size 10**9 leaf
+# alone would draw a Pruefer sequence of that length.  Generation stops
+# before a leaf takes the total past this many vertices.
+_GEN_VERTEX_CAP = 1_000_000
 
 
 def random_tree_cograph(
@@ -472,8 +476,8 @@ def random_tree_cograph(
     fixed probability, an internal join/union node otherwise.  Leaf trees
     are uniform labeled trees of random size up to max_leaf_size.
     Positions are drawn in pre-order (node, left subtree, right subtree)
-    by an explicit stack; a tree that would pass _GEN_NODE_CAP nodes
-    raises ValueError.
+    by an explicit stack; a tree that would pass _GEN_NODE_CAP nodes or
+    _GEN_VERTEX_CAP vertices raises ValueError.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
@@ -484,7 +488,7 @@ def random_tree_cograph(
     # An entry is a depth still to draw, or the class of an internal
     # node whose two subtrees are the last two results.
     stack: list = [max_depth]
-    nodes = 0
+    nodes = vertices = 0
     while stack:
         item = stack.pop()
         if not isinstance(item, int):
@@ -495,7 +499,13 @@ def random_tree_cograph(
         if nodes > _GEN_NODE_CAP:
             raise ValueError(f"the generated tree passes {_GEN_NODE_CAP} nodes")
         if item == 0 or rng.random() < 0.35:
-            t = random_labeled_tree(rng.randint(1, max_leaf_size), rng)
+            size = rng.randint(1, max_leaf_size)
+            vertices += size
+            if vertices > _GEN_VERTEX_CAP:
+                raise ValueError(
+                    f"the generated tree passes {_GEN_VERTEX_CAP} vertices"
+                )
+            t = random_labeled_tree(size, rng)
             results.append(TreeLeaf(t) if rng.random() < 0.5 else CotreeLeaf(t))
         else:
             stack.append(JoinNode if rng.random() < 0.5 else UnionNode)

@@ -2,7 +2,7 @@
 
 An induced matching is a set of edges no two of which share a vertex or are
 joined by an edge (an independent set in the squared linegraph).  Trees are
-solved by a three-state dynamic program; tree complements contribute 1 as
+solved by one greedy pass up from the leaves; tree complements contribute 1 as
 soon as they have any edge at all (their squared linegraph is a clique);
 unions add, joins take the maximum of the children and 1 (any two matched
 edges on opposite sides of a join conflict through the cross edges, and a
@@ -19,9 +19,6 @@ from .graph import Graph, bfs_tree, nonedges
 
 __all__ = ["InducedMatchingResult", "im"]
 
-_NEG = -(1 << 60)
-
-
 @dataclass(frozen=True)
 class InducedMatchingResult:
     """iv(G) together with a witness matching over global vertex ids."""
@@ -30,76 +27,33 @@ class InducedMatchingResult:
     witness: tuple[tuple[int, int], ...]
 
 
-def _tree_dp(t: Graph):
-    """Bottom-up DP rooted at vertex 0.  Three states per vertex v:
+def _im_tree(t: Graph) -> list[tuple[int, int]]:
+    """A maximum induced matching of a tree (local vertex pairs, top-down),
+    by the greedy of Fricke and Laskar (1992, "Strong matchings on trees").
 
-    s0: v unmatched and all children unmatched (v may match to its parent);
-    s1: v unmatched, children unconstrained;
-    s2: v matched to one child, which must be in s0, its siblings unmatched.
-
-    s1 >= s0 everywhere, so "child unmatched" always contributes s1(child).
-    Returns (parent, s0, s1, s2, partner); answer is max(s1, s2) at the
-    root.  Iterative, so million-vertex paths are fine.  t must be a tree;
-    the caller checks.
+    The vertices but the root are visited bottom-up (reversed BFS order);
+    whenever v and its parent p are both still free, vp is taken and p and
+    all of N(p) stop being free.  Every edge that meets vp has an endpoint
+    in N[p] (v's children are already done), so what is taken stays
+    induced.  It is also maximum: when v is reached with p free, v and p's
+    other free children are leaves of what is left (the tree on the free
+    vertices), so a maximum induced matching of what is left has at most
+    one edge touching p or p's parent, and that edge can be swapped for
+    vp.  Each p is taken at most once, so the pass is O(n).  t must be a
+    tree; the caller checks.
     """
-    n = t.n
-    adj = t.adj
     order, parent = bfs_tree(t)
-    s0 = [0] * n
-    s1 = [0] * n
-    s2 = [_NEG] * n
-    partner = [-1] * n
-    for i in range(n - 1, -1, -1):
-        v = order[i]
-        pv = parent[v]
-        acc1 = 0
-        accbest = 0
-        bestdelta = _NEG
-        best = -1
-        for w in adj[v]:
-            if w == pv:
-                continue
-            a = s1[w]
-            b = s2[w]
-            acc1 += a
-            accbest += a if a >= b else b
-            d = s0[w] - a
-            if d > bestdelta:
-                bestdelta = d
-                best = w
-        s0[v] = acc1
-        s1[v] = accbest
-        if best != -1:
-            s2[v] = acc1 + 1 + bestdelta
-            partner[v] = best
-    return parent, s0, s1, s2, partner
-
-
-def _im_tree(t: Graph) -> tuple[int, list[tuple[int, int]]]:
-    """iv of a tree with a witness matching (local vertex pairs), O(n)."""
-    parent, s0, s1, s2, partner = _tree_dp(t)
-    value = max(s1[0], s2[0])
+    free = [True] * t.n
     pairs: list[tuple[int, int]] = []
-    # Labels mirror the DP states; expand top-down.
-    stack = [(0, 2 if s2[0] > s1[0] else 1)]
-    while stack:
-        v, label = stack.pop()
-        pv = parent[v]
-        if label == 1:
-            for w in t.adj[v]:
-                if w != pv:
-                    stack.append((w, 2 if s2[w] > s1[w] else 1))
-        elif label == 0:
-            for w in t.adj[v]:
-                if w != pv:
-                    stack.append((w, 1))
-        else:
-            p = partner[v]
+    for v in order[:0:-1]:
+        p = parent[v]
+        if free[v] and free[p]:
             pairs.append((v, p) if v < p else (p, v))
-            for w in t.adj[v]:
-                if w != pv:
-                    stack.append((w, 0 if w == p else 1))
-    return value, pairs
+            free[p] = False
+            for w in t.adj[p]:
+                free[w] = False
+    pairs.reverse()
+    return pairs
 
 
 def im(tree: DecompositionTree) -> InducedMatchingResult:
@@ -114,8 +68,8 @@ def im(tree: DecompositionTree) -> InducedMatchingResult:
     acc: list[tuple[int, list | tuple]] = []
     for node, off in tree.placed():
         if isinstance(node, TreeLeaf):
-            value, local = _im_tree(node.t)
-            acc.append((value, [(u + off, v + off) for u, v in local]))
+            witness = [(u + off, v + off) for u, v in _im_tree(node.t)]
+            acc.append((len(witness), witness))
         elif isinstance(node, CotreeLeaf):
             # t's first nonedge, if it has one, is an edge of the complement
             witness = [(u + off, v + off) for u, v in islice(nonedges(node.t), 1)]

@@ -50,14 +50,17 @@ class PermutationDiagram:
 
 
 def parse_permutation(text: str) -> PermutationDiagram:
-    """One line of whitespace-separated integers forming a permutation."""
-    tokens = text.split()
+    """One line of whitespace-separated integers forming a permutation.
+
+    A token is ASCII decimal digits with an optional sign; int() alone
+    would also read "1_0" as 10 and accept non-ASCII digits.
+    """
     values = []
-    for tok in tokens:
-        try:
-            values.append(int(tok))
-        except ValueError:
-            raise PermutationError(f"non-integer token {tok!r}") from None
+    for tok in text.split():
+        digits = tok[1:] if tok[0] in "+-" else tok
+        if not (digits.isascii() and digits.isdigit()):
+            raise PermutationError(f"non-integer token {tok!r}")
+        values.append(int(tok))
     return PermutationDiagram(len(values), tuple(values))
 
 

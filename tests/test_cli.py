@@ -105,6 +105,8 @@ def test_non_utf8_input_is_an_input_error(tmp_path, monkeypatch, capsys):
         ["oracle", "--budget", "-1"],
         # a surviving tree grows about 1.3x per level: stopped at the node cap
         ["gen", "--depth", "60", "--seed", "1"],
+        # one leaf of up to 10^9 vertices: stopped at the vertex cap
+        ["gen", "--depth", "0", "--leaf-size", "1000000000"],
     ],
 )
 def test_bad_arguments_are_input_errors(argv, capsys):
@@ -120,8 +122,18 @@ def test_malformed_decomposition_is_an_input_error(monkeypatch, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_bad_permutation_is_an_input_error(monkeypatch, capsys):
-    feed(monkeypatch, "0 0 1")
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0 0 1",
+        # int() reads these as 10 and 1
+        "1_0 2 0 3 4 5 6 7 8 9 1",
+        "\u0661 0",  # Arabic-Indic one
+    ],
+    ids=["repeat", "underscore", "non-ascii"],
+)
+def test_bad_permutation_is_an_input_error(text, monkeypatch, capsys):
+    feed(monkeypatch, text)
     assert main(["perm"]) == 2
     assert "error:" in capsys.readouterr().err
 
@@ -281,7 +293,8 @@ def test_public_names_resolve_and_removed_ones_are_gone():
         assert getattr(strongedge, name) is not None, name
     for name in (
         "im_value", "im_tree_value", "graph_to_text", "graph_from_text", "sci_cotree",
-        "sci_tree", "im_tree",
+        "sci_tree", "im_tree", "max_clique_exhaustive", "chromatic_number_exhaustive",
+        "max_independent_set_exhaustive",
     ):
         assert name not in strongedge.__all__ and not hasattr(strongedge, name)
     assert not hasattr(cli, "cmd_bench")

@@ -58,7 +58,8 @@ def test_im_examples():
         f'{{"type":"union","children":[{P5_LEAF},{P5_LEAF}]}}'
     )
     res = im(two_paths)
-    assert res.value == 4 and len(res.witness) == 4
+    # the README's example, witness read top-down in each leaf
+    assert res.value == 4 and res.witness == ((0, 1), (3, 4), (5, 6), (8, 9))
     assert is_induced_matching(realize(two_paths), list(res.witness))
 
     k4 = parse_decomposition(f'{{"type":"join","children":[{K2_LEAF},{K2_LEAF}]}}')
@@ -131,4 +132,29 @@ def test_im_tree_on_long_random_paths_and_brooms():
         t = random_labeled_tree(n, rng)
         res = im(leaf(t))
         assert res.value == len(res.witness)
+        assert is_induced_matching(t, list(res.witness))
+
+
+def _shuffled(n, edges, rng):
+    label = list(range(n))
+    rng.shuffle(label)
+    return build_graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+def test_im_tree_closed_forms_at_scale():
+    rng = random.Random(7)
+    cases = []
+    for n in (2, 3, 4, 5, 10**5):
+        # a path: every third edge
+        path = [(i, i + 1) for i in range(n - 1)]
+        cases.append((_shuffled(n, path, rng), (n + 1) // 3))
+    for k in (1, 2, 1000, 3 * 10**4):
+        # a spider with k legs of length 2: every outer leg edge
+        legs = [e for i in range(k) for e in ((0, 2 * i + 1), (2 * i + 1, 2 * i + 2))]
+        cases.append((_shuffled(2 * k + 1, legs, rng), k))
+    for k in (1, 5, 10**4):
+        cases.append((_shuffled(k + 1, [(0, i) for i in range(1, k + 1)], rng), 1))
+    for t, value in cases:
+        res = im(leaf(t))
+        assert res.value == value == len(res.witness), (t.n, res.value, value)
         assert is_induced_matching(t, list(res.witness))

@@ -7,7 +7,6 @@ from strongedge import (
     BudgetExceededError,
     OracleReport,
     build_graph,
-    chromatic_number_exhaustive,
     exact_chromatic_number,
     exact_max_clique,
     exact_max_independent_set,
@@ -15,11 +14,14 @@ from strongedge import (
     is_chordal,
     is_clique,
     is_ptolemaic,
-    max_clique_exhaustive,
-    max_independent_set_exhaustive,
     square_of_linegraph,
 )
-from strongedge.oracle import timed
+from strongedge.oracle import (
+    chromatic_number_exhaustive,
+    max_clique_exhaustive,
+    max_independent_set_exhaustive,
+    timed,
+)
 
 from strategies import graphs, tree_diameter, trees
 
