@@ -49,7 +49,7 @@ def evaluate(pi):
     traps = trapezoid_model(d, g)
     chi = exact_chromatic_number(square_of_linegraph(g).graph)
     ff = first_fit_palette(traps)
-    tf = greedy_trapezoid_coloring(traps).palette_size
+    tf = greedy_trapezoid_coloring(d.pi, g.edges).palette_size
     return chi, ff, tf
 
 

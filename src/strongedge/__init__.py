@@ -56,6 +56,7 @@ from .permutation import (
     PermutationError,
     Trapezoid,
     greedy_trapezoid_coloring,
+    is_chain_coloring,
     parse_permutation,
     permutation_graph,
     strong_color_permutation,
@@ -94,6 +95,7 @@ __all__ = [
     "greedy_trapezoid_coloring",
     "has_induced_cycle_at_least",
     "im",
+    "is_chain_coloring",
     "is_chordal",
     "is_clique",
     "is_induced_matching",

@@ -38,6 +38,7 @@ from .oracle import (
 )
 from .permutation import (
     PermutationError,
+    is_chain_coloring,
     parse_permutation,
     permutation_graph,
     strong_color_permutation,
@@ -137,7 +138,7 @@ def cmd_perm(args) -> int:
         "palette": coloring.palette_size,
     }
     if args.verify:
-        if not is_strong_edge_coloring(g, coloring):
+        if not is_chain_coloring(diagram, g, coloring):
             raise _VerificationFailed("coloring is not a strong edge coloring")
         out["verified"] = True
     if args.color:
@@ -174,7 +175,10 @@ def _oracle_permutation(text: str, budget: int | None) -> list[OracleReport]:
     sq = square_of_linegraph(g).graph
     desc = f"permutation(n={g.n},m={g.m})"
     coloring = strong_color_permutation(diagram, g)
-    if not is_strong_edge_coloring(g, coloring):
+    # both verifiers must accept, so the oracle keeps them in agreement
+    if not (
+        is_chain_coloring(diagram, g, coloring) and is_strong_edge_coloring(g, coloring)
+    ):
         raise _VerificationFailed("greedy coloring is not a strong edge coloring")
     chi, t_chi = timed(exact_chromatic_number, sq, budget)
     return [

@@ -1,17 +1,24 @@
 """Strong edge coloring of permutation graphs via trapezoids.
 
-Each edge {i, j} of a permutation graph spans an interval on both lines of
-the diagram; two edges conflict (are adjacent in the squared linegraph)
-exactly when their trapezoids intersect.  A left-to-right greedy sweep over
-the trapezoids therefore colors the squared linegraph directly, and with
-the tightest-fit class choice it empirically uses the minimum number of
-colors.
+Each edge (u, v), u < v, of a permutation graph spans [u, v] on the top
+line of the diagram and [pi[v], pi[u]] on the bottom line; two edges
+conflict (are adjacent in the squared linegraph) exactly when these
+trapezoids intersect, that is unless one lies strictly left of the other
+on both lines.  So a color class is strong iff its trapezoids form a chain
+of that order.  The sweep and the verifier both read the corners straight
+from pi and the edge list, in increasing (top_lo, bot_lo) = (u, pi[v]):
+the sweep colors the squared linegraph with a tightest-fit class choice,
+which empirically uses the minimum number of colors, and
+`is_chain_coloring` checks each class is a chain in one pass.
+`Trapezoid` and `trapezoid_model` spell the model out for the tests that
+check it against the squared linegraph.
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,6 +34,7 @@ __all__ = [
     "trapezoids_intersect",
     "greedy_trapezoid_coloring",
     "strong_color_permutation",
+    "is_chain_coloring",
 ]
 
 
@@ -50,13 +58,21 @@ class PermutationDiagram:
 
 
 def parse_permutation(text: str) -> PermutationDiagram:
-    """One line of whitespace-separated integers forming a permutation.
+    """One line of integers separated by ASCII spaces, forming a
+    permutation; at most one newline may end it.
 
     A token is ASCII decimal digits with an optional sign; int() alone
-    would also read "1_0" as 10 and accept non-ASCII digits.
+    would also read "1_0" as 10 and accept non-ASCII digits, and
+    str.split() would also split at tabs, carriage returns, Unicode spaces
+    and further lines.
     """
+    line = text[:-1] if text.endswith("\n") else text
+    if "\n" in line:
+        raise PermutationError("expected one line of numbers, found a line break inside")
     values = []
-    for tok in text.split():
+    for tok in line.split(" "):
+        if not tok:
+            continue
         digits = tok[1:] if tok[0] in "+-" else tok
         if not (digits.isascii() and digits.isdigit()):
             raise PermutationError(f"non-integer token {tok!r}")
@@ -118,30 +134,40 @@ def trapezoids_intersect(a: Trapezoid, b: Trapezoid) -> bool:
     return True
 
 
+def _is_inversion_graph(d: PermutationDiagram, g: Graph) -> bool:
+    """True iff g is permutation_graph(d), with no second build: a simple
+    graph on d.n vertices whose every edge is an inversion, and which has
+    as many edges as pi has inversions, is the inversion graph."""
+    pi = d.pi
+    return (
+        g.n == d.n
+        and all(u < v and pi[u] > pi[v] for u, v in g.edges)
+        and g.m == _count_inversions(pi)
+    )
+
+
 def trapezoid_model(d: PermutationDiagram, g: Graph) -> list[Trapezoid]:
     """One trapezoid per edge of g, which must be permutation_graph(d).
 
     Trapezoids intersect exactly when the corresponding edges are adjacent
-    in the squared linegraph of g.  The check that g is the inversion graph
-    needs no second build: a simple graph on d.n vertices whose every edge
-    is an inversion, and which has as many edges as pi has inversions, is
-    the inversion graph.
+    in the squared linegraph of g.
     """
-    pi = d.pi
-    if not (
-        g.n == d.n
-        and all(u < v and pi[u] > pi[v] for u, v in g.edges)
-        and g.m == _count_inversions(pi)
-    ):
+    if not _is_inversion_graph(d, g):
         raise PermutationError("graph does not match the permutation diagram")
+    pi = d.pi
     return [Trapezoid(u, v, pi[v], pi[u], idx) for idx, (u, v) in enumerate(g.edges)]
 
 
-def greedy_trapezoid_coloring(traps: list[Trapezoid]) -> StrongEdgeColoring:
-    """Tightest-fit sweep by top-left corner, in O(m log m).
+def greedy_trapezoid_coloring(
+    pi: Sequence[int], edges: Sequence[tuple[int, int]]
+) -> StrongEdgeColoring:
+    """Tightest-fit sweep over the trapezoids of the inversions `edges` of
+    `pi`, in O(n + m log m).
 
-    Trapezoids are processed in increasing (top_lo, bot_lo, edge_index).
-    Each goes to a color class it is disjoint from, choosing among the
+    Edge (u, v) has top_lo = u, top_hi = v, bot_lo = pi[v] and bot_hi =
+    pi[u].  Edges are processed in increasing (top_lo, bot_lo), which is
+    unique per edge, so the sort key is the integer u * n + pi[v].  Each
+    goes to a color class it is disjoint from, choosing among the
     candidates the class whose frontier reaches furthest on the bottom line
     (ties to the smallest class index); a fresh class is opened only when
     none fits.  Per class only the frontier (the last member's right ends)
@@ -150,9 +176,10 @@ def greedy_trapezoid_coloring(traps: list[Trapezoid]) -> StrongEdgeColoring:
     never decreases the frontier test is exact, not just sufficient.
 
     The candidates are found without scanning the classes.  A class waits
-    in a heap keyed by its top frontier until top_lo passes it; from then
-    on it stays free until it is picked, and free classes sit in a min-heap
-    of class ids per bottom frontier.  A sorted list of the bottom
+    in the bucket of its top frontier, a vertex, until top_lo passes it;
+    buckets are released in increasing order as top_lo grows.  From then
+    on the class stays free until it is picked, and free classes sit in a
+    min-heap of class ids per bottom frontier.  A sorted list of the bottom
     frontiers that have free classes answers "largest frontier < bot_lo"
     by bisection; it holds at most n values, so keeping it sorted costs a
     short memory move per class released or emptied.
@@ -163,37 +190,75 @@ def greedy_trapezoid_coloring(traps: list[Trapezoid]) -> StrongEdgeColoring:
     a fuller class also fits an emptier one.  Optimality is the tested
     greedy hypothesis; the oracle acceptance tests keep it honest.
     """
-    order = sorted(traps, key=lambda t: (t.top_lo, t.bot_lo, t.edge_index))
+    n = len(pi)
+    keys = [u * n + pi[v] for u, v in edges]
     fbot: list[int] = []
-    busy: list[tuple[int, int]] = []
+    waiting: list[list[int]] = [[] for _ in range(n)]
+    released = 0
     free: dict[int, list[int]] = {}
     free_fbots: list[int] = []
-    colors = [0] * len(traps)
-    for t in order:
-        while busy and busy[0][0] < t.top_lo:
-            c = heapq.heappop(busy)[1]
-            b = fbot[c]
-            if b in free:
-                heapq.heappush(free[b], c)
-            else:
-                free[b] = [c]
-                bisect.insort(free_fbots, b)
-        i = bisect.bisect_left(free_fbots, t.bot_lo)
-        if i:
-            b = free_fbots[i - 1]
+    colors = [0] * len(edges)
+    for i in sorted(range(len(edges)), key=keys.__getitem__):
+        u, v = edges[i]
+        while released < u:
+            for c in waiting[released]:
+                b = fbot[c]
+                if b in free:
+                    heapq.heappush(free[b], c)
+                else:
+                    free[b] = [c]
+                    bisect.insort(free_fbots, b)
+            released += 1
+        k = bisect.bisect_left(free_fbots, pi[v])
+        if k:
+            b = free_fbots[k - 1]
             c = heapq.heappop(free[b])
             if not free[b]:
-                del free[b], free_fbots[i - 1]
-            fbot[c] = t.bot_hi
+                del free[b], free_fbots[k - 1]
+            fbot[c] = pi[u]
         else:
             c = len(fbot)
-            fbot.append(t.bot_hi)
-        heapq.heappush(busy, (t.top_hi, c))
-        colors[t.edge_index] = c
+            fbot.append(pi[u])
+        waiting[v].append(c)
+        colors[i] = c
     return StrongEdgeColoring.from_colors(colors)
 
 
 def strong_color_permutation(d: PermutationDiagram, g: Graph) -> StrongEdgeColoring:
     """Strong edge coloring of g = permutation_graph(d) via the trapezoid
     sweep; g is checked against d, not rebuilt."""
-    return greedy_trapezoid_coloring(trapezoid_model(d, g))
+    if not _is_inversion_graph(d, g):
+        raise PermutationError("graph does not match the permutation diagram")
+    return greedy_trapezoid_coloring(d.pi, g.edges)
+
+
+def is_chain_coloring(
+    d: PermutationDiagram, g: Graph, coloring: StrongEdgeColoring
+) -> bool:
+    """True iff g is permutation_graph(d), its edges come in non-decreasing
+    top_lo, and every color class is a chain of trapezoids, which makes
+    the coloring a strong edge coloring of g; O(n log n + m) time and
+    O(palette) memory beyond the graph check.
+
+    Two edges are not adjacent in the squared linegraph iff their
+    trapezoids are disjoint, iff one lies strictly left of the other on
+    both lines.  That relation is transitive (a.hi < b.lo <= b.hi < c.lo
+    on each line), so a class is independent iff its members form a chain,
+    and a chain's order agrees with top_lo.  Read in non-decreasing top_lo,
+    each member must then lie strictly right of the previous one on both
+    lines: of the class's frontier (top_hi, bot_hi).  Members that share
+    a top_lo share a vertex and fail the test, as they must.  The check
+    reads only d, g and the colors.
+    """
+    colors = coloring.colors
+    if len(colors) != g.m or not _is_inversion_graph(d, g):
+        return False
+    pi = d.pi
+    top = [-1] * coloring.palette_size
+    bot = [-1] * coloring.palette_size
+    prev = 0
+    for (u, v), c in zip(g.edges, colors):
+        if u < prev or top[c] >= u or bot[c] >= pi[v]:
+            return False
+        prev, top[c], bot[c] = u, v, pi[u]
+    return True

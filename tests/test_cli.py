@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 import strongedge
-from strongedge import cli, random_labeled_tree
+from strongedge import StrongEdgeColoring, cli, random_labeled_tree
 from strongedge.cli import build_parser, main
 
 JOIN_K2_K2 = json.dumps({
@@ -129,13 +129,50 @@ def test_malformed_decomposition_is_an_input_error(monkeypatch, capsys):
         # int() reads these as 10 and 1
         "1_0 2 0 3 4 5 6 7 8 9 1",
         "\u0661 0",  # Arabic-Indic one
+        # str.split() read each of these as a permutation
+        "0 1\n2\n",
+        "1\u00a00",
+        "\t1 0\r\n",
+        "1 0\n\n",
     ],
-    ids=["repeat", "underscore", "non-ascii"],
+    ids=["repeat", "underscore", "non-ascii", "two-lines", "nbsp", "tab-crlf",
+         "blank-line"],
 )
 def test_bad_permutation_is_an_input_error(text, monkeypatch, capsys):
     feed(monkeypatch, text)
     assert main(["perm"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_perm_verify_rejects_a_bad_coloring(monkeypatch, capsys):
+    def merged(d, g):
+        # edges (0,1), (0,3), (2,3) need three colors; (0,1) and (0,3) share 0
+        assert g.edges == [(0, 1), (0, 3), (2, 3)]
+        return StrongEdgeColoring((0, 0, 1))
+
+    monkeypatch.setattr("strongedge.cli.strong_color_permutation", merged)
+    feed(monkeypatch, "2 0 3 1")
+    assert main(["perm", "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verification failed: coloring is not a strong edge coloring\n"
+
+
+def test_perm_verify_needs_no_generic_checker_or_trapezoids(monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError("perm reached the generic checker or the trapezoid model")
+
+    for target in (
+        "strongedge.cli.is_strong_edge_coloring",
+        "strongedge.graph.is_strong_edge_coloring",
+        "strongedge.permutation.trapezoid_model",
+    ):
+        monkeypatch.setattr(target, unreachable)
+    pi = list(range(300))
+    random.Random(11).shuffle(pi)
+    feed(monkeypatch, " ".join(map(str, pi)))
+    code, out = run_json(capsys, ["perm", "--json", "--color", "--verify"])
+    assert code == 0 and out["verified"] is True and out["n"] == 300
 
 
 def test_oracle_agreement(monkeypatch, capsys):

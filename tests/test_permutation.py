@@ -1,10 +1,12 @@
 import itertools
 import random
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 from strongedge import (
+    Graph,
     PermutationDiagram,
     PermutationError,
     StrongEdgeColoring,
@@ -13,6 +15,7 @@ from strongedge import (
     exact_chromatic_number,
     exact_max_clique,
     greedy_trapezoid_coloring,
+    is_chain_coloring,
     is_strong_edge_coloring,
     parse_permutation,
     permutation_graph,
@@ -29,6 +32,8 @@ def test_parse_permutation():
     d = parse_permutation(" 2 0 1 \n")
     assert d.n == 3 and d.pi == (2, 0, 1)
     assert parse_permutation("").n == 0
+    assert parse_permutation("\n").n == 0
+    assert parse_permutation("1  +0").pi == (1, 0)
     with pytest.raises(PermutationError, match="permutation"):
         parse_permutation("0 0 1")
     with pytest.raises(PermutationError, match="permutation"):
@@ -81,6 +86,10 @@ def test_trapezoid_model_rejects_mismatched_graph():
     ):
         with pytest.raises(PermutationError, match="does not match"):
             trapezoid_model(d, g)
+        with pytest.raises(PermutationError, match="does not match"):
+            strong_color_permutation(d, g)
+        # one color per edge passes every class test: only the graph check fails
+        assert not is_chain_coloring(d, g, StrongEdgeColoring(tuple(range(g.m))))
 
 
 def test_trapezoids_intersect_is_symmetric_on_cases():
@@ -94,15 +103,14 @@ def test_trapezoids_intersect_is_symmetric_on_cases():
 
 def test_greedy_coloring_examples():
     d = PermutationDiagram(4, (1, 0, 3, 2))
-    traps = trapezoid_model(d, permutation_graph(d))
-    c = greedy_trapezoid_coloring(traps)
+    c = greedy_trapezoid_coloring(d.pi, permutation_graph(d).edges)
     assert c.colors == (0, 0) and c.palette_size == 1
 
     k3 = PermutationDiagram(3, (2, 1, 0))
-    c3 = greedy_trapezoid_coloring(trapezoid_model(k3, permutation_graph(k3)))
+    c3 = greedy_trapezoid_coloring(k3.pi, permutation_graph(k3).edges)
     assert sorted(c3.colors) == [0, 1, 2]
 
-    assert greedy_trapezoid_coloring([]).palette_size == 0
+    assert greedy_trapezoid_coloring((), []).palette_size == 0
 
 
 def _tightest_fit_reference(traps):
@@ -136,8 +144,9 @@ def test_sweep_matches_the_class_scanning_reference():
                 j = min(n - 1, i + rng.randint(1, 4))
                 pi[i], pi[j] = pi[j], pi[i]
         d = PermutationDiagram(n, tuple(pi))
-        traps = trapezoid_model(d, permutation_graph(d))
-        assert greedy_trapezoid_coloring(traps) == _tightest_fit_reference(traps), pi
+        g = permutation_graph(d)
+        reference = _tightest_fit_reference(trapezoid_model(d, g))
+        assert greedy_trapezoid_coloring(d.pi, g.edges) == reference, pi
 
 
 def test_strong_color_permutation_examples():
@@ -196,3 +205,53 @@ def test_sweep_matches_oracle_on_all_five_point_diagrams():
         palette = strong_color_permutation(d, permutation_graph(d)).palette_size
         sq = square_of_linegraph(permutation_graph(d)).graph
         assert palette == exact_chromatic_number(sq), pi
+
+
+def _recolored(coloring, i, c):
+    colors = list(coloring.colors)
+    colors[i] = c
+    return StrongEdgeColoring.from_colors(colors)
+
+
+@given(permutation_diagrams(max_n=12), st.data())
+def test_chain_check_agrees_with_the_generic_checker(d, data):
+    g = permutation_graph(d)
+    coloring = strong_color_permutation(d, g)
+    assert is_chain_coloring(d, g, coloring)
+    for _ in range(data.draw(st.integers(0, 3))):
+        if not g.m:
+            break
+        i = data.draw(st.integers(0, g.m - 1))
+        c = data.draw(st.integers(0, coloring.palette_size))
+        coloring = _recolored(coloring, i, c)
+    assert is_chain_coloring(d, g, coloring) == is_strong_edge_coloring(g, coloring)
+
+
+def test_chain_check_on_every_single_edge_recoloring():
+    checked = rejected = 0
+    for n in range(7):
+        for pi in itertools.permutations(range(n)):
+            d = PermutationDiagram(n, pi)
+            g = permutation_graph(d)
+            coloring = strong_color_permutation(d, g)
+            for i in range(g.m):
+                for c in range(coloring.palette_size + 1):
+                    recolored = _recolored(coloring, i, c)
+                    ok = is_chain_coloring(d, g, recolored)
+                    assert ok == is_strong_edge_coloring(g, recolored), (pi, i, c)
+                    checked += 1
+                    rejected += not ok
+    assert rejected and rejected < checked
+
+
+def test_chain_check_rejects_unordered_edges_and_wrong_lengths():
+    d = PermutationDiagram(4, (1, 0, 3, 2))
+    g = permutation_graph(d)
+    one_each = StrongEdgeColoring((0, 1))
+    assert is_chain_coloring(d, g, one_each)
+    # a valid coloring, but the edges no longer arrive in top_lo order
+    backwards = Graph(d.n, g.edges[::-1])
+    assert is_strong_edge_coloring(backwards, one_each)
+    assert not is_chain_coloring(d, backwards, one_each)
+    for colors in ((0,), (0, 1, 2)):
+        assert not is_chain_coloring(d, g, StrongEdgeColoring(colors))
