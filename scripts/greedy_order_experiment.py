@@ -47,7 +47,7 @@ def evaluate(pi):
     d = PermutationDiagram(len(pi), tuple(pi))
     g = permutation_graph(d)
     traps = trapezoid_model(d, g)
-    chi = exact_chromatic_number(square_of_linegraph(g).graph)
+    chi = exact_chromatic_number(square_of_linegraph(g))
     ff = first_fit_palette(traps)
     tf = greedy_trapezoid_coloring(d.pi, g.edges).palette_size
     return chi, ff, tf

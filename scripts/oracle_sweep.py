@@ -41,7 +41,7 @@ def run(args: argparse.Namespace) -> int:
             continue
         kept += 1
         g = realize(tree)
-        sq = square_of_linegraph(g).graph
+        sq = square_of_linegraph(g)
         desc = f"seed={seed - 1}(n={g.n},m={g.m})"
 
         chi, t_chi = timed(exact_chromatic_number, sq)

@@ -80,7 +80,7 @@ def run(args: argparse.Namespace) -> int:
         total = bad_chordal = bad_pt = long_diam = mismatch = 0
         witness_line = None
         for t in iter_trees(n, args, rng):
-            sq = square_of_linegraph(t).graph
+            sq = square_of_linegraph(t)
             total += 1
             if not is_chordal(sq):
                 bad_chordal += 1

@@ -2,17 +2,13 @@
 permutation graphs, with exact brute-force oracles for cross-verification.
 
 `sci`, `im` and `strong_coloring` run in linear time on decomposition
-trees, and `strong_color_permutation` colors permutation graphs; `oracle`,
-`chordal` and `square_of_linegraph` exist to falsify the rest.
+trees, and `strong_color_permutation` colors permutation graphs.
+`strongedge.oracle` exists to falsify them: the exact solvers, the
+structural checks, `square_of_linegraph` and `complement` they run on,
+and the chordal machinery (Lex-BFS, perfect elimination orderings,
+`chordal_coloring`), which only that module exports.
 """
 
-from .chordal import (
-    PerfectEliminationError,
-    chordal_coloring,
-    is_chordal,
-    is_perfect_elimination_ordering,
-    lexbfs_order,
-)
 from .decomposition import (
     CotreeLeaf,
     DecompositionError,
@@ -31,25 +27,25 @@ from .decomposition import (
 from .graph import (
     Graph,
     GraphError,
-    SquaredLinegraph,
     StrongEdgeColoring,
     build_graph,
-    complement,
     is_induced_matching,
     is_strong_edge_coloring,
     is_tree,
-    square_of_linegraph,
 )
 from .induced_matching import InducedMatchingResult, im
 from .oracle import (
     BudgetExceededError,
     OracleReport,
+    complement,
     exact_chromatic_number,
     exact_max_clique,
     exact_max_independent_set,
     has_induced_cycle_at_least,
+    is_chordal,
     is_clique,
     is_ptolemaic,
+    square_of_linegraph,
 )
 from .permutation import (
     PermutationDiagram,
@@ -77,17 +73,14 @@ __all__ = [
     "InducedMatchingResult",
     "JoinNode",
     "OracleReport",
-    "PerfectEliminationError",
     "PermutationDiagram",
     "PermutationError",
     "SChiResult",
-    "SquaredLinegraph",
     "StrongEdgeColoring",
     "Trapezoid",
     "TreeLeaf",
     "UnionNode",
     "build_graph",
-    "chordal_coloring",
     "complement",
     "exact_chromatic_number",
     "exact_max_clique",
@@ -100,11 +93,9 @@ __all__ = [
     "is_clique",
     "is_induced_matching",
     "is_induced_matching_in",
-    "is_perfect_elimination_ordering",
     "is_ptolemaic",
     "is_strong_edge_coloring",
     "is_tree",
-    "lexbfs_order",
     "parse_decomposition",
     "parse_permutation",
     "permutation_graph",

@@ -26,7 +26,6 @@ from .graph import (
     GraphError,
     is_induced_matching,  # unused here; bench/spans.py traces it by this name
     is_strong_edge_coloring,
-    square_of_linegraph,
 )
 from .induced_matching import im
 from .oracle import (
@@ -34,6 +33,7 @@ from .oracle import (
     OracleReport,
     exact_chromatic_number,
     exact_max_independent_set,
+    square_of_linegraph,
     timed,
 )
 from .permutation import (
@@ -157,7 +157,7 @@ def cmd_perm(args) -> int:
 def _oracle_decomposition(text: str, budget: int | None) -> list[OracleReport]:
     tree = parse_decomposition(text)
     g = realize(tree)
-    sq = square_of_linegraph(g).graph
+    sq = square_of_linegraph(g)
     desc = f"decomposition(n={g.n},m={g.m})"
     fast_sci = sci(tree).value
     chi, t_chi = timed(exact_chromatic_number, sq, budget)
@@ -172,7 +172,7 @@ def _oracle_decomposition(text: str, budget: int | None) -> list[OracleReport]:
 def _oracle_permutation(text: str, budget: int | None) -> list[OracleReport]:
     diagram = parse_permutation(text)
     g = permutation_graph(diagram)
-    sq = square_of_linegraph(g).graph
+    sq = square_of_linegraph(g)
     desc = f"permutation(n={g.n},m={g.m})"
     coloring = strong_color_permutation(diagram, g)
     # both verifiers must accept, so the oracle keeps them in agreement

@@ -287,8 +287,10 @@ def serialize_decomposition(tree: DecompositionTree) -> str:
     A left-leaning chain of one operation is written as one flat children
     list, the inverse of the fold in `parse_decomposition`; right children
     stay nested.  Parsing the result gives back the same binary tree, so
-    the realized edge order is unchanged, and a chain of any length nests
-    one level deep.
+    the realized edge order is unchanged.  A left-leaning chain of any
+    length nests one level deep, but every right child nests one level
+    more: a right-leaning chain about 500 levels deep gives a document that
+    `parse_decomposition` rejects as nested too deep.
     """
     out: list[str] = []
     stack: list[DecompNode | str] = [tree.root]

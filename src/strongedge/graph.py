@@ -1,9 +1,8 @@
-"""Undirected simple graphs with indexed edges, linegraph squares, and
-strong edge coloring certificates."""
+"""Undirected simple graphs with indexed edges, and the checks of the
+certificates found on them: strong edge colorings and induced matchings."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -81,11 +80,6 @@ def nonedges(g: Graph) -> Iterator[tuple[int, int]]:
                 yield u, v
 
 
-def complement(g: Graph) -> Graph:
-    """Complement graph on the same vertex set. Quadratic; oracle-scale only."""
-    return Graph(g.n, list(nonedges(g)))
-
-
 def bfs_tree(g: Graph) -> tuple[list[int], list[int]]:
     """Breadth-first order of the vertices reachable from vertex 0, and
     each vertex's parent in that search (-1 at vertex 0 and at unreached
@@ -106,49 +100,6 @@ def bfs_tree(g: Graph) -> tuple[list[int], list[int]]:
 def is_tree(g: Graph) -> bool:
     """True iff g is connected and acyclic (a single vertex counts)."""
     return g.n > 0 and g.m == g.n - 1 and len(bfs_tree(g)[0]) == g.n
-
-
-@dataclass(frozen=True)
-class SquaredLinegraph:
-    """The square of the linegraph of ``base``: one vertex per edge index of
-    the base graph, adjacent when the base edges lie within linegraph
-    distance two (shared endpoint, or some base edge joining their
-    endpoints)."""
-
-    graph: Graph
-    base: Graph
-
-
-def square_of_linegraph(g: Graph) -> SquaredLinegraph:
-    """Materialize L(g)^2 over the edge indices of g.
-
-    For each edge {u,v} the conflicting edges are exactly those incident to
-    u, to v, or to a neighbor of u or v.  Cost grows with the square of the
-    degrees, which is fine for the verification-scale graphs this is meant
-    for; the linear-time index computations never call it.
-    """
-    m = g.m
-    incident: list[list[int]] = [[] for _ in range(g.n)]
-    for idx, (u, v) in enumerate(g.edges):
-        incident[u].append(idx)
-        incident[v].append(idx)
-
-    # Each pair is found once, as (idx, other) with idx < other, so the
-    # square's Graph is built directly rather than revalidated; incident
-    # lists ascend, so each scan starts just past idx.
-    sq_edges: list[tuple[int, int]] = []
-    mark = [-1] * m
-    for idx, (u, v) in enumerate(g.edges):
-        centers = {u, v}
-        centers.update(g.adj[u])
-        centers.update(g.adj[v])
-        for w in centers:
-            inc = incident[w]
-            for other in inc[bisect_right(inc, idx):]:
-                if mark[other] != idx:
-                    mark[other] = idx
-                    sq_edges.append((idx, other))
-    return SquaredLinegraph(Graph(m, sq_edges), g)
 
 
 @dataclass(frozen=True)

@@ -1,32 +1,153 @@
-"""Exact brute-force solvers and structural checkers used to cross-verify
-every fast-path result on small instances."""
+"""Exact brute-force solvers, structural checkers and the graphs they run
+on, used to cross-verify every fast-path result on small instances.
+
+Nothing here is on a fast path.  `square_of_linegraph` and `complement`
+build the graphs the solvers search.  Lex-BFS and the perfect elimination
+check decide chordality for graphs of a few dozen vertices, so they are
+written straight from their definitions.
+"""
 
 from __future__ import annotations
 
+import sys
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import combinations
 
-from .chordal import is_chordal
-from .graph import Graph, complement
+from .graph import Graph, nonedges
 
 __all__ = [
     "BudgetExceededError",
     "OracleReport",
+    "PerfectEliminationError",
+    "chordal_coloring",
+    "complement",
     "exact_chromatic_number",
     "exact_max_clique",
     "exact_max_independent_set",
     "has_induced_cycle_at_least",
     "is_chordal",
     "is_clique",
+    "is_perfect_elimination_ordering",
     "is_ptolemaic",
+    "lexbfs_order",
+    "square_of_linegraph",
     "chromatic_number_exhaustive",
     "max_clique_exhaustive",
     "max_independent_set_exhaustive",
 ]
 
 
+def complement(g: Graph) -> Graph:
+    """Complement graph on the same vertex set. Quadratic."""
+    return Graph(g.n, list(nonedges(g)))
+
+
+def square_of_linegraph(g: Graph) -> Graph:
+    """L(g)^2 over the edge indices of g: one vertex per edge of g,
+    adjacent when the two edges lie within linegraph distance two (a
+    shared endpoint, or some edge of g joining their endpoints).
+
+    For each edge {u,v} the conflicting edges are exactly those incident to
+    u, to v, or to a neighbor of u or v.  Cost grows with the square of the
+    degrees.
+    """
+    m = g.m
+    incident: list[list[int]] = [[] for _ in range(g.n)]
+    for idx, (u, v) in enumerate(g.edges):
+        incident[u].append(idx)
+        incident[v].append(idx)
+
+    # Each pair is found once, as (idx, other) with idx < other, so the
+    # square's Graph is built directly rather than revalidated; incident
+    # lists ascend, so each scan starts just past idx.
+    sq_edges: list[tuple[int, int]] = []
+    mark = [-1] * m
+    for idx, (u, v) in enumerate(g.edges):
+        centers = {u, v}
+        centers.update(g.adj[u])
+        centers.update(g.adj[v])
+        for w in centers:
+            inc = incident[w]
+            for other in inc[bisect_right(inc, idx):]:
+                if mark[other] != idx:
+                    mark[other] = idx
+                    sq_edges.append((idx, other))
+    return Graph(m, sq_edges)
+
+
+class PerfectEliminationError(RuntimeError):
+    """Raised when a graph expected to be chordal fails the PEO check."""
+
+
+def lexbfs_order(g: Graph) -> list[int]:
+    """Lexicographic BFS visit order (Rose, Tarjan and Lueker 1976).
+
+    Each step visits the unvisited vertex with the lexicographically
+    largest label, the smallest id among ties, and appends a number
+    smaller than any before it to the labels of its unvisited neighbors.
+    On a chordal graph the reverse of the order is a perfect elimination
+    ordering.
+    """
+    label: list[list[int]] = [[] for _ in range(g.n)]
+    unvisited = set(range(g.n))
+    order: list[int] = []
+    for step in range(g.n, 0, -1):
+        v = max(unvisited, key=lambda u: (label[u], -u))
+        unvisited.remove(v)
+        order.append(v)
+        for w in g.adj[v]:
+            if w in unvisited:
+                label[w].append(step)
+    return order
+
+
+def is_perfect_elimination_ordering(g: Graph, peo: list[int]) -> bool:
+    """True iff peo lists every vertex once and each vertex's later
+    neighbors are pairwise adjacent."""
+    if sorted(peo) != list(range(g.n)):
+        return False
+    pos = [0] * g.n
+    for i, v in enumerate(peo):
+        pos[v] = i
+    adjset = [set(nbrs) for nbrs in g.adj]
+    return all(
+        b in adjset[a]
+        for v in peo
+        for a, b in combinations([w for w in g.adj[v] if pos[w] > pos[v]], 2)
+    )
+
+
+def is_chordal(g: Graph) -> bool:
+    order = lexbfs_order(g)
+    order.reverse()
+    return is_perfect_elimination_ordering(g, order)
+
+
+def chordal_coloring(g: Graph) -> list[int]:
+    """Color a chordal graph with exactly its clique number of colors.
+
+    Greedy first-fit along the Lex-BFS visit order: every vertex's earlier
+    neighbors form a clique, so no vertex ever sees more than omega - 1
+    blocked colors.  Raises PerfectEliminationError if the PEO check fails,
+    which would mean the input was not chordal after all.
+    """
+    order = lexbfs_order(g)
+    if not is_perfect_elimination_ordering(g, order[::-1]):
+        raise PerfectEliminationError(
+            "graph has no perfect elimination ordering (not chordal)"
+        )
+    colors = [-1] * g.n
+    for v in order:
+        used = {colors[w] for w in g.adj[v]}
+        colors[v] = next(c for c in range(g.n) if c not in used)
+    return colors
+
+
 class BudgetExceededError(RuntimeError):
-    """Search exceeded its node-expansion budget; the result is inconclusive."""
+    """Search exceeded its node-expansion budget or the interpreter's
+    recursion limit; the result is inconclusive."""
 
 
 @dataclass(frozen=True)
@@ -51,16 +172,30 @@ class OracleReport:
 
 
 class _Budget:
-    __slots__ = ("left",)
+    __slots__ = ("limit", "left")
 
     def __init__(self, limit: int | None):
-        self.left = limit
+        self.limit = self.left = limit
 
     def spend(self):
         if self.left is not None:
             self.left -= 1
             if self.left < 0:
-                raise BudgetExceededError("search node budget exhausted")
+                raise BudgetExceededError(
+                    f"search node budget of {self.limit} exhausted"
+                )
+
+
+def _search(recurse, *args):
+    """Run a recursive search, which takes one frame per vertex it picks;
+    running out of stack is as inconclusive as running out of budget."""
+    try:
+        return recurse(*args)
+    except RecursionError:
+        raise BudgetExceededError(
+            f"search went deeper than the recursion limit of "
+            f"{sys.getrecursionlimit()} frames"
+        ) from None
 
 
 def _adj_bits(g: Graph) -> list[int]:
@@ -125,7 +260,7 @@ def _max_clique_impl(g: Graph, budget: _Budget) -> tuple[int, int]:
             expand(rsize + 1, rmask | (1 << v), cand & adj[v])
             cand &= ~(1 << v)
 
-    expand(0, 0, (1 << n) - 1)
+    _search(expand, 0, 0, (1 << n) - 1)
     return best, best_mask
 
 
@@ -168,10 +303,7 @@ def _dsatur_bound(g: Graph) -> int:
             (u for u in range(n) if colors[u] == -1),
             key=lambda u: (len(neighbor_colors[u]), g.degree(u), -u),
         )
-        c = 0
-        while c in neighbor_colors[v]:
-            c += 1
-        colors[v] = c
+        c = colors[v] = next(k for k in range(n) if k not in neighbor_colors[v])
         for w in g.adj[v]:
             neighbor_colors[w].add(c)
     return max(colors) + 1
@@ -222,7 +354,7 @@ def _k_colorable(g: Graph, k: int, clique: list[int], budget: _Budget) -> bool:
             unplace(v, c)
         return False
 
-    return solve(n - len(clique), used)
+    return _search(solve, n - len(clique), used)
 
 
 def has_induced_cycle_at_least(
@@ -292,20 +424,21 @@ def _has_induced_gem(g: Graph) -> bool:
 def max_clique_exhaustive(g: Graph) -> int:
     """Independent cross-check: scan all vertex subsets. Only for tiny n."""
     adj = _adj_bits(g)
-    best = 0
-    for mask in range(1 << g.n):
-        if _is_clique_mask(mask, adj) and mask.bit_count() > best:
-            best = mask.bit_count()
-    return best
+    # a clique minus a vertex's neighbors leaves just that vertex
+    return max(
+        (mask.bit_count() for mask in range(1 << g.n)
+         if all(mask & ~adj[v] == 1 << v for v in _iter_bits(mask))),
+        default=0,
+    )
 
 
 def max_independent_set_exhaustive(g: Graph) -> int:
     adj = _adj_bits(g)
-    best = 0
-    for mask in range(1 << g.n):
-        if _is_independent_mask(mask, adj) and mask.bit_count() > best:
-            best = mask.bit_count()
-    return best
+    return max(
+        (mask.bit_count() for mask in range(1 << g.n)
+         if all(mask & adj[v] == 0 for v in _iter_bits(mask))),
+        default=0,
+    )
 
 
 def chromatic_number_exhaustive(g: Graph) -> int:
@@ -333,28 +466,6 @@ def chromatic_number_exhaustive(g: Graph) -> int:
                 dp[mask] = dp[mask ^ sub] + 1
             sub = (sub - 1) & mask
     return dp[full]
-
-
-def _is_clique_mask(mask: int, adj: list[int]) -> bool:
-    rest = mask
-    while rest:
-        b = rest & -rest
-        v = b.bit_length() - 1
-        rest ^= b
-        if rest & ~adj[v]:
-            return False
-    return True
-
-
-def _is_independent_mask(mask: int, adj: list[int]) -> bool:
-    rest = mask
-    while rest:
-        b = rest & -rest
-        v = b.bit_length() - 1
-        rest ^= b
-        if rest & adj[v]:
-            return False
-    return True
 
 
 def timed(fn, *args, **kwargs):

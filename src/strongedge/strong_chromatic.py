@@ -23,8 +23,7 @@ from .decomposition import (
 from .graph import Graph, StrongEdgeColoring, bfs_tree
 
 # strong_coloring calls neither; bench/spans.py traces both by these names here.
-from .chordal import chordal_coloring  # noqa: F401
-from .graph import square_of_linegraph  # noqa: F401
+from .oracle import chordal_coloring, square_of_linegraph  # noqa: F401
 
 __all__ = ["SChiResult", "sci", "strong_coloring"]
 

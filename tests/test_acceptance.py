@@ -64,7 +64,7 @@ def small_corpus_facts():
     facts = []
     for t in _seeded_corpus(0, 1000, 4, 6, 1, 12):
         g = realize(t)
-        sq = square_of_linegraph(g).graph
+        sq = square_of_linegraph(g)
         facts.append({
             "tree": t,
             "graph": g,
@@ -139,14 +139,14 @@ def test_criterion_05_tree_dp_exhaustive_and_random():
             t = tree_from_prufer(n, list(seq))
             exhaustive += 1
             if im(DecompositionTree(TreeLeaf(t))).value != exact_max_independent_set(
-                square_of_linegraph(t).graph
+                square_of_linegraph(t)
             ):
                 bad += 1
     rng = random.Random(5)
     for _ in range(10_000):
         t = random_labeled_tree(rng.randint(8, 16), rng)
         if im(DecompositionTree(TreeLeaf(t))).value != exact_max_independent_set(
-            square_of_linegraph(t).graph
+            square_of_linegraph(t)
         ):
             bad += 1
     report(
@@ -173,7 +173,7 @@ def test_criterion_06_structural_properties():
     not_chordal = not_ptolemaic = long_diameter = mismatches = 0
     for _ in range(500):
         t = random_labeled_tree(rng.randint(1, 12), rng)
-        sq = square_of_linegraph(t).graph
+        sq = square_of_linegraph(t)
         if not is_chordal(sq):
             not_chordal += 1
         ptolemaic = is_ptolemaic(sq)
@@ -186,7 +186,7 @@ def test_criterion_06_structural_properties():
     not_clique = 0
     for _ in range(500):
         t = random_labeled_tree(rng.randint(3, 12), rng)
-        if not is_clique(square_of_linegraph(complement(t)).graph):
+        if not is_clique(square_of_linegraph(complement(t))):
             not_clique += 1
 
     ok = long_cycles == not_chordal == mismatches == not_clique == 0
@@ -228,7 +228,7 @@ def _model_matches(pi):
     d = PermutationDiagram(len(pi), tuple(pi))
     g = permutation_graph(d)
     traps = trapezoid_model(d, g)
-    sq = square_of_linegraph(g).graph
+    sq = square_of_linegraph(g)
     return np.array_equal(_trapezoid_adjacency(traps), _square_adjacency(sq))
 
 
@@ -273,7 +273,7 @@ def test_criterion_08_permutation_coloring():
             exhaustive += 1
             d = PermutationDiagram(n, pi)
             chi = exact_chromatic_number(
-                square_of_linegraph(permutation_graph(d)).graph
+                square_of_linegraph(permutation_graph(d))
             )
             coloring = strong_color_permutation(d, permutation_graph(d))
             if coloring.palette_size != chi:
@@ -285,7 +285,7 @@ def test_criterion_08_permutation_coloring():
             rng.shuffle(pi)
             d = PermutationDiagram(n, tuple(pi))
             chi = exact_chromatic_number(
-                square_of_linegraph(permutation_graph(d)).graph
+                square_of_linegraph(permutation_graph(d))
             )
             coloring = strong_color_permutation(d, permutation_graph(d))
             if coloring.palette_size != chi:

@@ -1,9 +1,11 @@
+import itertools
+
 import pytest
 from hypothesis import given
 
-from strongedge import (
+from strongedge import build_graph
+from strongedge.oracle import (
     PerfectEliminationError,
-    build_graph,
     chordal_coloring,
     exact_max_clique,
     has_induced_cycle_at_least,
@@ -18,6 +20,69 @@ from strategies import graphs, trees
 
 def _cycle(n):
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _path(n):
+    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+# (graph, Lex-BFS order, chordal coloring or None when not chordal), as the
+# partition-refinement Lex-BFS gave them; the rewrite must reproduce them.
+FROZEN = {
+    "empty": (build_graph(0, []), [], []),
+    "k1": (build_graph(1, []), [0], [0]),
+    "p4": (_path(4), [0, 1, 2, 3], [0, 1, 0, 1]),
+    "c4": (_cycle(4), [0, 1, 3, 2], None),
+    "c5": (_cycle(5), [0, 1, 4, 2, 3], None),
+    "k4": (
+        build_graph(4, list(itertools.combinations(range(4), 2))),
+        [0, 1, 2, 3],
+        [0, 1, 2, 3],
+    ),
+    "star": (build_graph(5, [(0, i) for i in range(1, 5)]), [0, 1, 2, 3, 4], [0, 1, 1, 1, 1]),
+    "gem": (
+        build_graph(5, [(0, 1), (1, 2), (2, 3), (4, 0), (4, 1), (4, 2), (4, 3)]),
+        [0, 1, 4, 2, 3],
+        [0, 1, 0, 1, 2],
+    ),
+    "diamond-tail": (
+        build_graph(6, [(3, 5), (0, 2), (2, 3), (0, 3), (1, 4), (4, 5)]),
+        [0, 2, 3, 5, 4, 1],
+        [0, 0, 1, 2, 1, 0],
+    ),
+    "two-parts": (
+        build_graph(7, [(5, 6), (0, 4), (4, 6), (1, 3), (2, 3), (1, 2)]),
+        [0, 4, 6, 5, 1, 2, 3],
+        [0, 0, 1, 2, 1, 1, 0],
+    ),
+    "square-p6": (square_of_linegraph(_path(6)), [0, 1, 2, 3, 4], [0, 1, 2, 0, 1]),
+    "square-spider": (
+        square_of_linegraph(build_graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])),
+        [0, 1, 2, 4, 3, 5],
+        [0, 1, 2, 1, 3, 1],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_frozen_lexbfs_orders_and_colorings(name):
+    g, order, colors = FROZEN[name]
+    assert lexbfs_order(g) == order
+    if colors is None:
+        with pytest.raises(PerfectEliminationError):
+            chordal_coloring(g)
+    else:
+        assert chordal_coloring(g) == colors
+
+
+@given(graphs(max_n=6))
+def test_reversed_lexbfs_is_a_peo_exactly_when_one_exists(g):
+    found = is_perfect_elimination_ordering(g, lexbfs_order(g)[::-1])
+    assert is_chordal(g) == found
+    assert found == any(
+        is_perfect_elimination_ordering(g, list(p))
+        for p in itertools.permutations(range(g.n))
+    )
 
 
 def test_lexbfs_is_a_permutation():
@@ -83,4 +148,4 @@ def test_chordal_coloring_is_proper_and_optimal(g):
 
 @given(trees(max_n=10))
 def test_squared_linegraphs_of_trees_are_chordal(t):
-    assert is_chordal(square_of_linegraph(t).graph)
+    assert is_chordal(square_of_linegraph(t))

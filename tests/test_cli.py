@@ -1,13 +1,23 @@
 import dataclasses
+import importlib.util
+import inspect
 import io
 import json
 import random
+import sys
 import tracemalloc
 
 import pytest
 
 import strongedge
-from strongedge import StrongEdgeColoring, cli, random_labeled_tree
+from strongedge import (
+    StrongEdgeColoring,
+    cli,
+    oracle,
+    random_labeled_tree,
+    random_tree_cograph,
+    serialize_decomposition,
+)
 from strongedge.cli import build_parser, main
 
 JOIN_K2_K2 = json.dumps({
@@ -205,7 +215,70 @@ def test_oracle_disagreement_exits_one(monkeypatch, capsys):
 def test_oracle_tiny_budget_is_inconclusive(monkeypatch, capsys):
     feed(monkeypatch, JOIN_K2_K2)
     assert main(["oracle", "--budget", "1"]) == 3
-    assert "inconclusive" in capsys.readouterr().err
+    assert capsys.readouterr().err == "inconclusive: search node budget of 1 exhausted\n"
+
+
+def test_oracle_search_deeper_than_the_stack_is_inconclusive(
+    shallow_stack, monkeypatch, capsys
+):
+    # the complement of a 14-vertex path is one cotree leaf whose square is
+    # a 78-clique, so the clique search recurses 78 levels deep
+    doc = {"type": "cotree", "n": 14, "edges": [[i, i + 1] for i in range(13)]}
+    feed(monkeypatch, json.dumps(doc))
+    with shallow_stack():
+        code = main(["oracle"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("inconclusive: search went deeper than the recursion")
+    assert captured.err.count("\n") == 1
+
+
+def _oracle_unreachable(mp):
+    """Make every public function of strongedge.oracle raise, in that module
+    and in each module that binds it."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the fast path reached strongedge.oracle")
+
+    for name, module in list(sys.modules.items()):
+        if name != "strongedge" and not name.startswith("strongedge."):
+            continue
+        for attr, value in list(vars(module).items()):
+            if (
+                inspect.isfunction(value)
+                and value.__module__ == "strongedge.oracle"
+                and not value.__name__.startswith("_")
+            ):
+                mp.setattr(module, attr, unreachable)
+
+
+# tree and cotree leaves under joins and unions
+COGRAPHS = [serialize_decomposition(random_tree_cograph(seed, 3, 5)) for seed in (6, 10)]
+
+
+@pytest.mark.parametrize(
+    "argv, texts",
+    [
+        (["sci", "--json", "--color", "--verify"], COGRAPHS),
+        (["im", "--json", "--verify"], COGRAPHS),
+        (["perm", "--json", "--color", "--verify"], ["5 2 7 0 3 6 1 4"]),
+    ],
+    ids=["sci", "im", "perm"],
+)
+def test_fast_path_never_reaches_the_oracle(argv, texts, monkeypatch, capsys):
+    for text in texts:
+        feed(monkeypatch, text)
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        with pytest.MonkeyPatch.context() as mp:
+            _oracle_unreachable(mp)
+            feed(monkeypatch, text)
+            assert main(argv) == 0
+            assert capsys.readouterr().out == expected
+            feed(monkeypatch, text)
+            with pytest.raises(AssertionError, match="reached strongedge.oracle"):
+                main(["oracle"])
 
 
 def test_failed_verification_exits_one(monkeypatch, capsys):
@@ -331,7 +404,12 @@ def test_public_names_resolve_and_removed_ones_are_gone():
     for name in (
         "im_value", "im_tree_value", "graph_to_text", "graph_from_text", "sci_cotree",
         "sci_tree", "im_tree", "max_clique_exhaustive", "chromatic_number_exhaustive",
-        "max_independent_set_exhaustive",
+        "max_independent_set_exhaustive", "SquaredLinegraph", "PerfectEliminationError",
+        "chordal_coloring", "lexbfs_order", "is_perfect_elimination_ordering",
     ):
         assert name not in strongedge.__all__ and not hasattr(strongedge, name)
+    assert len(strongedge.__all__) == 46
+    assert importlib.util.find_spec("strongedge.chordal") is None
+    for name in oracle.__all__:
+        assert getattr(oracle, name) is not None, name
     assert not hasattr(cli, "cmd_bench")

@@ -79,12 +79,12 @@ def test_graphs_built_in_the_package_peak_near_their_own_size():
 
 
 def test_square_of_linegraph_examples():
-    sq = square_of_linegraph(P4).graph
+    sq = square_of_linegraph(P4)
     assert sq.n == 3 and set(sq.edges) == {(0, 1), (0, 2), (1, 2)}
     two_edges = build_graph(4, [(0, 1), (2, 3)])
-    assert square_of_linegraph(two_edges).graph.m == 0
+    assert square_of_linegraph(two_edges).m == 0
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert set(square_of_linegraph(star).graph.edges) == {(0, 1), (0, 2), (1, 2)}
+    assert set(square_of_linegraph(star).edges) == {(0, 1), (0, 2), (1, 2)}
 
 
 def test_is_strong_edge_coloring_examples():
@@ -199,7 +199,7 @@ def _linegraph_distance2_pairs(g):
 
 @given(graphs())
 def test_square_matches_bfs_reference(g):
-    assert set(square_of_linegraph(g).graph.edges) == _linegraph_distance2_pairs(g)
+    assert set(square_of_linegraph(g).edges) == _linegraph_distance2_pairs(g)
 
 
 def _square_edges_full_scan(g):
@@ -231,14 +231,14 @@ def test_square_edge_list_is_the_full_scan_list():
         rng.shuffle(pi)
         cases.append(permutation_graph(PermutationDiagram(len(pi), tuple(pi))))
     for g in cases:
-        assert square_of_linegraph(g).graph.edges == _square_edges_full_scan(g), g
+        assert square_of_linegraph(g).edges == _square_edges_full_scan(g), g
 
 
 @given(graphs())
 def test_square_graph_is_what_build_graph_makes(g):
     # the square is built without build_graph's checks, so its edge list
     # must already pass them and yield the same adjacency
-    sq = square_of_linegraph(g).graph
+    sq = square_of_linegraph(g)
     ref = build_graph(g.m, sq.edges)
     assert sq.n == ref.n and sq.edges == ref.edges and sq.adj == ref.adj
 
@@ -280,7 +280,7 @@ def test_coloring_checker_matches_both_formulations(g, data):
     fast = is_strong_edge_coloring(g, c)
 
     # formulation 1: proper vertex coloring of the squared linegraph
-    sq = square_of_linegraph(g).graph
+    sq = square_of_linegraph(g)
     proper = all(c.colors[i] != c.colors[j] for i, j in sq.edges)
     # formulation 2: every color class is an induced matching
     classes = {}
@@ -304,7 +304,7 @@ def test_coloring_checker_on_linegraph_proper_colorings(g, rng):
         at[v].add(c)
         colors.append(c)
     coloring = StrongEdgeColoring.from_colors(colors)
-    sq = square_of_linegraph(g).graph
+    sq = square_of_linegraph(g)
     proper = all(coloring.colors[i] != coloring.colors[j] for i, j in sq.edges)
     assert is_strong_edge_coloring(g, coloring) == proper
 

@@ -101,7 +101,7 @@ def test_join_prefers_left_witness_then_right_then_cross():
 
 @given(decomposition_trees())
 def test_im_matches_oracle_independent_set(t):
-    sq = square_of_linegraph(realize(t)).graph
+    sq = square_of_linegraph(realize(t))
     assert im(t).value == exact_max_independent_set(sq)
 
 
@@ -122,7 +122,7 @@ def test_union_adds_and_join_clamps(a, b):
 
 @given(trees(max_n=16))
 def test_im_tree_matches_oracle(t):
-    sq = square_of_linegraph(t).graph
+    sq = square_of_linegraph(t)
     assert im(leaf(t)).value == exact_max_independent_set(sq)
 
 

@@ -41,7 +41,7 @@ def clique(n):
 def test_exact_chromatic_number_examples():
     assert exact_chromatic_number(clique(6)) == 6
     assert exact_chromatic_number(cycle(5)) == 3
-    assert exact_chromatic_number(square_of_linegraph(path(4)).graph) == 3
+    assert exact_chromatic_number(square_of_linegraph(path(4))) == 3
     assert exact_chromatic_number(build_graph(0, [])) == 0
     assert exact_chromatic_number(build_graph(5, [])) == 1
 
@@ -49,13 +49,13 @@ def test_exact_chromatic_number_examples():
 def test_exact_max_independent_set_examples():
     assert exact_max_independent_set(build_graph(5, [])) == 5
     assert exact_max_independent_set(clique(5)) == 1
-    assert exact_max_independent_set(square_of_linegraph(path(5)).graph) == 2
+    assert exact_max_independent_set(square_of_linegraph(path(5))) == 2
 
 
 def test_exact_max_clique_examples():
     assert exact_max_clique(clique(4)) == 4
     assert exact_max_clique(cycle(5)) == 2
-    assert exact_max_clique(square_of_linegraph(clique(4)).graph) == 6
+    assert exact_max_clique(square_of_linegraph(clique(4))) == 6
     assert exact_max_clique(build_graph(0, [])) == 0
 
 
@@ -78,8 +78,20 @@ def test_induced_cycle_budget_is_enforced():
 
 
 def test_clique_budget_is_enforced():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="budget of 1 exhausted"):
         exact_max_clique(clique(12), budget=1)
+
+
+def test_searches_deeper_than_the_stack_are_inconclusive(shallow_stack):
+    # both searches take one frame per vertex: the clique search down a
+    # 120-clique, the 2-coloring attempt around an odd cycle
+    with shallow_stack():
+        with pytest.raises(BudgetExceededError, match="recursion limit"):
+            exact_max_clique(clique(120))
+        with pytest.raises(BudgetExceededError, match="recursion limit"):
+            exact_chromatic_number(cycle(121))
+    assert exact_max_clique(clique(120)) == 120
+    assert exact_chromatic_number(cycle(121)) == 3
 
 
 def test_is_clique():
@@ -105,17 +117,17 @@ def test_squared_linegraph_of_path6_contains_a_gem():
     # Edges e0..e4 of the 6-vertex path: e2 sees all of the induced path
     # e0-e1-e3-e4 in the square of the linegraph, so the square is chordal
     # but not ptolemaic.  Shorter paths are still ptolemaic.
-    sq = square_of_linegraph(path(6)).graph
+    sq = square_of_linegraph(path(6))
     assert is_chordal(sq)
     assert not is_ptolemaic(sq)
-    assert is_ptolemaic(square_of_linegraph(path(5)).graph)
+    assert is_ptolemaic(square_of_linegraph(path(5)))
 
 
 SPIDER = build_graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
 
 
 def test_squared_linegraph_of_small_spider_is_ptolemaic():
-    assert is_ptolemaic(square_of_linegraph(SPIDER).graph)
+    assert is_ptolemaic(square_of_linegraph(SPIDER))
 
 
 def test_tree_diameter_examples():
@@ -130,7 +142,7 @@ def test_squared_linegraph_is_ptolemaic_iff_diameter_at_most_4(t):
     # A path on 6 vertices makes a gem (see the P6 test above); a tree of
     # diameter <= 4 has a square that is a clique joined to a union of
     # cliques.  Acceptance criterion 6 checks the same on a seeded corpus.
-    assert is_ptolemaic(square_of_linegraph(t).graph) == (tree_diameter(t) <= 4)
+    assert is_ptolemaic(square_of_linegraph(t)) == (tree_diameter(t) <= 4)
 
 
 @given(trees(max_n=9))
@@ -190,7 +202,7 @@ def test_gem_route_matches_clique_separation_route(g):
 
 
 def test_clique_separation_route_pins_the_path6_square():
-    assert not _ptolemaic_by_clique_separation(square_of_linegraph(path(6)).graph)
+    assert not _ptolemaic_by_clique_separation(square_of_linegraph(path(6)))
 
 
 @given(graphs(max_n=8))

@@ -162,7 +162,7 @@ def test_tightest_fit_handles_the_first_fit_counterexample():
     coloring = strong_color_permutation(d, permutation_graph(d))
     g = permutation_graph(d)
     assert is_strong_edge_coloring(g, coloring)
-    sq = square_of_linegraph(g).graph
+    sq = square_of_linegraph(g)
     assert coloring.palette_size == exact_chromatic_number(sq) == 4
 
 
@@ -178,7 +178,7 @@ def _intersection_pairs(traps):
 def test_model_fidelity_against_squared_linegraph(d):
     g = permutation_graph(d)
     traps = trapezoid_model(d, g)
-    sq = square_of_linegraph(g).graph
+    sq = square_of_linegraph(g)
     got = {(min(i, j), max(i, j)) for i, j in _intersection_pairs(traps)}
     assert got == set(sq.edges)
 
@@ -188,14 +188,14 @@ def test_coloring_is_valid_and_clique_bounded(d):
     coloring = strong_color_permutation(d, permutation_graph(d))
     g = permutation_graph(d)
     assert is_strong_edge_coloring(g, coloring)
-    sq = square_of_linegraph(g).graph
+    sq = square_of_linegraph(g)
     assert coloring.palette_size >= exact_max_clique(sq)
 
 
 @given(permutation_diagrams(max_n=7))
 def test_palette_is_optimal_at_small_sizes(d):
     coloring = strong_color_permutation(d, permutation_graph(d))
-    sq = square_of_linegraph(permutation_graph(d)).graph
+    sq = square_of_linegraph(permutation_graph(d))
     assert coloring.palette_size == exact_chromatic_number(sq)
 
 
@@ -203,7 +203,7 @@ def test_sweep_matches_oracle_on_all_five_point_diagrams():
     for pi in itertools.permutations(range(5)):
         d = PermutationDiagram(5, pi)
         palette = strong_color_permutation(d, permutation_graph(d)).palette_size
-        sq = square_of_linegraph(permutation_graph(d)).graph
+        sq = square_of_linegraph(permutation_graph(d))
         assert palette == exact_chromatic_number(sq), pi
 
 

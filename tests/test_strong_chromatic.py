@@ -26,7 +26,7 @@ from strongedge import (
     strong_coloring,
     tree_from_prufer,
 )
-from strongedge import chordal, graph, strong_chromatic
+from strongedge import oracle, strong_chromatic
 
 from strategies import decomposition_trees, trees
 
@@ -61,7 +61,7 @@ def test_sci_cotree_matches_oracle_on_a_six_vertex_tree():
     # the squared linegraph of any tree complement is a clique on its edges
     t = build_graph(6, [(0, 1), (1, 2), (2, 3), (2, 4), (4, 5)])
     co = complement(t)
-    sq = square_of_linegraph(co).graph
+    sq = square_of_linegraph(co)
     value = sci(DecompositionTree(CotreeLeaf(t))).value
     assert value == co.m == exact_chromatic_number(sq)
 
@@ -99,14 +99,14 @@ def test_strong_coloring_examples():
 
 @given(decomposition_trees())
 def test_sci_matches_oracle_chromatic_number(t):
-    sq = square_of_linegraph(realize(t)).graph
+    sq = square_of_linegraph(realize(t))
     assert sci(t).value == exact_chromatic_number(sq)
 
 
 @given(decomposition_trees())
 def test_sci_matches_oracle_clique_number(t):
     # perfection of the squared linegraph at desk scale
-    sq = square_of_linegraph(realize(t)).graph
+    sq = square_of_linegraph(realize(t))
     assert sci(t).value == exact_max_clique(sq)
 
 
@@ -132,7 +132,7 @@ def test_union_takes_the_maximum(a, b):
 
 @given(trees(max_n=40))
 def test_sci_tree_equals_clique_number_of_the_square(t):
-    sq = square_of_linegraph(t).graph
+    sq = square_of_linegraph(t)
     assert sci(leaf(t)).value == exact_max_clique(sq)
 
 
@@ -178,11 +178,10 @@ def test_strong_coloring_needs_no_squared_linegraph(t):
         raise AssertionError("strong_coloring reached the chordal path")
 
     with pytest.MonkeyPatch.context() as mp:
-        for module in (graph, strong_chromatic):
+        for module in (oracle, strong_chromatic):
             mp.setattr(module, "square_of_linegraph", unreachable)
-        for module in (chordal, strong_chromatic):
             mp.setattr(module, "chordal_coloring", unreachable)
-        mp.setattr(chordal, "lexbfs_order", unreachable)
+        mp.setattr(oracle, "lexbfs_order", unreachable)
         c = strong_coloring(t)
     assert is_strong_edge_coloring(realize(t), c)
     assert c.palette_size == sci(t).value
