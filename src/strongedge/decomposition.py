@@ -130,15 +130,15 @@ class DecompositionTree:
         if not isinstance(root, _NODES):
             raise DecompositionError(f"not a decomposition node: {root!r}")
         # Visiting node, right subtree, left subtree and reversing the
-        # visit gives the post-order.
+        # visit gives the post-order.  Nodes hash by identity (eq=False).
         order: list[DecompNode] = []
-        seen: set[int] = set()
+        seen: set[DecompNode] = set()
         stack = [root]
         while stack:
             node = stack.pop()
-            if id(node) in seen:
+            if node in seen:
                 raise DecompositionError("node appears more than once in the tree")
-            seen.add(id(node))
+            seen.add(node)
             if isinstance(node, _Internal):
                 stack.append(node.left)
                 stack.append(node.right)

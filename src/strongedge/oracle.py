@@ -1,17 +1,17 @@
 """Exact brute-force solvers, structural checkers and the graphs they run
 on, used to cross-verify every fast-path result on small instances.
 
-Nothing here is on a fast path.  `square_of_linegraph` and `complement`
-build the graphs the solvers search.  Lex-BFS and the perfect elimination
-check decide chordality for graphs of a few dozen vertices, so they are
-written straight from their definitions.
+Nothing here is on a fast path.  `square_rows` builds L(G)^2 as bitset
+rows, one per edge of G, and `square_of_linegraph` its Graph; the solvers
+search bitset rows.  Lex-BFS and the perfect elimination check decide
+chordality for graphs of a few dozen vertices, so they are written
+straight from their definitions.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -33,6 +33,7 @@ __all__ = [
     "is_ptolemaic",
     "lexbfs_order",
     "square_of_linegraph",
+    "square_rows",
     "chromatic_number_exhaustive",
     "max_clique_exhaustive",
     "max_independent_set_exhaustive",
@@ -44,37 +45,31 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, list(nonedges(g)))
 
 
+def square_rows(g: Graph) -> list[int]:
+    """L(g)^2 as bitset rows over the edge indices of g: bit f of row
+    e = {u,v} is set when f != e and the two edges share an endpoint or an
+    edge of g joins their endpoints, that is when f has an endpoint in
+    N[u] | N[v].  So row e ORs the incidence masks of N[u] | N[v]."""
+    incident = [0] * g.n
+    for idx, (u, v) in enumerate(g.edges):
+        incident[u] |= 1 << idx
+        incident[v] |= 1 << idx
+    near = incident[:]
+    for w, nbrs in enumerate(g.adj):
+        for x in nbrs:
+            near[w] |= incident[x]
+    return [(near[u] | near[v]) & ~(1 << i) for i, (u, v) in enumerate(g.edges)]
+
+
 def square_of_linegraph(g: Graph) -> Graph:
-    """L(g)^2 over the edge indices of g: one vertex per edge of g,
-    adjacent when the two edges lie within linegraph distance two (a
-    shared endpoint, or some edge of g joining their endpoints).
-
-    For each edge {u,v} the conflicting edges are exactly those incident to
-    u, to v, or to a neighbor of u or v.  Cost grows with the square of the
-    degrees.
-    """
-    m = g.m
-    incident: list[list[int]] = [[] for _ in range(g.n)]
-    for idx, (u, v) in enumerate(g.edges):
-        incident[u].append(idx)
-        incident[v].append(idx)
-
-    # Each pair is found once, as (idx, other) with idx < other, so the
-    # square's Graph is built directly rather than revalidated; incident
-    # lists ascend, so each scan starts just past idx.
+    """L(g)^2 as a Graph: one vertex per edge of g, adjacent as in
+    `square_rows`, with its edges in lexicographic order."""
     sq_edges: list[tuple[int, int]] = []
-    mark = [-1] * m
-    for idx, (u, v) in enumerate(g.edges):
-        centers = {u, v}
-        centers.update(g.adj[u])
-        centers.update(g.adj[v])
-        for w in centers:
-            inc = incident[w]
-            for other in inc[bisect_right(inc, idx):]:
-                if mark[other] != idx:
-                    mark[other] = idx
-                    sq_edges.append((idx, other))
-    return Graph(m, sq_edges)
+    for idx, row in enumerate(square_rows(g)):
+        # bin() lists bits highest first; reversed, char k is bit idx + 1 + k
+        above = bin(row >> (idx + 1))[:1:-1]
+        sq_edges.extend((idx, idx + 1 + k) for k, b in enumerate(above) if b == "1")
+    return Graph(g.m, sq_edges)
 
 
 class PerfectEliminationError(RuntimeError):
@@ -233,15 +228,15 @@ def _color_candidates(mask: int, adj: list[int]) -> list[tuple[int, int]]:
 
 def exact_max_clique(g: Graph, budget: int | None = None) -> int:
     """Exact clique number via branch and bound with a coloring bound."""
-    return _max_clique_impl(g, _Budget(budget))[0]
+    return _max_clique_impl(_adj_bits(g), _Budget(budget))[0]
 
 
-def _max_clique_impl(g: Graph, budget: _Budget) -> tuple[int, int]:
-    """Returns (clique number, bitmask of one maximum clique)."""
-    n = g.n
+def _max_clique_impl(adj: list[int], budget: _Budget) -> tuple[int, int]:
+    """Returns (clique number, bitmask of one maximum clique) of the graph
+    whose adjacency rows are adj."""
+    n = len(adj)
     if n == 0:
         return 0, 0
-    adj = _adj_bits(g)
     best = 0
     best_mask = 0
 
@@ -265,8 +260,11 @@ def _max_clique_impl(g: Graph, budget: _Budget) -> tuple[int, int]:
 
 
 def exact_max_independent_set(g: Graph, budget: int | None = None) -> int:
-    """Exact maximum independent set size (clique number of the complement)."""
-    return exact_max_clique(complement(g), budget=budget)
+    """Exact maximum independent set size: the clique number of the
+    complement, searched on complemented adjacency rows."""
+    full = (1 << g.n) - 1
+    rows = [full & ~row & ~(1 << v) for v, row in enumerate(_adj_bits(g))]
+    return _max_clique_impl(rows, _Budget(budget))[0]
 
 
 def exact_chromatic_number(g: Graph, budget: int | None = None) -> int:
@@ -275,15 +273,16 @@ def exact_chromatic_number(g: Graph, budget: int | None = None) -> int:
     Branch and bound: the clique number gives the lower bound (and its
     vertices are pre-colored to break symmetry), a DSATUR greedy run gives
     the upper bound, and k-colorability is decided by backtracking with
-    most-saturated-first selection for increasing k.
+    most-saturated-first selection for increasing k.  A clique needs no
+    search: its n vertices take n colors.
     """
     n = g.n
-    if n == 0:
-        return 0
+    if is_clique(g):
+        return n
     if g.m == 0:
         return 1
     b = _Budget(budget)
-    lb, clique_mask = _max_clique_impl(g, b)
+    lb, clique_mask = _max_clique_impl(_adj_bits(g), b)
     ub = _dsatur_bound(g)
     if lb == ub:
         return lb

@@ -221,9 +221,13 @@ def test_oracle_tiny_budget_is_inconclusive(monkeypatch, capsys):
 def test_oracle_search_deeper_than_the_stack_is_inconclusive(
     shallow_stack, monkeypatch, capsys
 ):
-    # the complement of a 14-vertex path is one cotree leaf whose square is
-    # a 78-clique, so the clique search recurses 78 levels deep
-    doc = {"type": "cotree", "n": 14, "edges": [[i, i + 1] for i in range(13)]}
+    # the complement of a 14-vertex path is a cotree leaf whose square is a
+    # 78-clique; beside a one-edge tree leaf the square is no clique, so
+    # the clique search recurses 78 levels deep
+    doc = {"type": "union", "children": [
+        {"type": "cotree", "n": 14, "edges": [[i, i + 1] for i in range(13)]},
+        {"type": "tree", "n": 2, "edges": [[0, 1]]},
+    ]}
     feed(monkeypatch, json.dumps(doc))
     with shallow_stack():
         code = main(["oracle"])
@@ -232,6 +236,17 @@ def test_oracle_search_deeper_than_the_stack_is_inconclusive(
     assert captured.out == ""
     assert captured.err.startswith("inconclusive: search went deeper than the recursion")
     assert captured.err.count("\n") == 1
+
+
+def test_oracle_settles_a_clique_square_without_search(monkeypatch, capsys):
+    # the complement of a 46-vertex path: its square is a 990-clique
+    doc = {"type": "cotree", "n": 46, "edges": [[i, i + 1] for i in range(45)]}
+    feed(monkeypatch, json.dumps(doc))
+    assert main(["oracle"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and all(" agree " in line for line in lines)
+    assert lines[0].startswith("strong chromatic index: fast=990 oracle=990 ")
+    assert lines[1].startswith("maximum induced matching: fast=1 oracle=1 ")
 
 
 def _oracle_unreachable(mp):

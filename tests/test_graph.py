@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-from collections import deque
 
 import pytest
 from hypothesis import given
@@ -26,6 +25,7 @@ from strongedge import (
     square_of_linegraph,
 )
 from strongedge.graph import bfs_tree, nonedges
+from strongedge.oracle import square_rows
 
 from strategies import graphs, trees
 
@@ -168,7 +168,8 @@ def test_induced_matching_checker():
 
 
 def _linegraph_distance2_pairs(g):
-    """Independent reference for L(g)^2: BFS in the linegraph, two levels."""
+    """Independent reference for L(g)^2: BFS in the linegraph, two levels.
+    Lists each pair (s, v), s < v, in lexicographic order."""
     incident = [[] for _ in range(g.n)]
     for idx, (u, v) in enumerate(g.edges):
         incident[u].append(idx)
@@ -179,51 +180,34 @@ def _linegraph_distance2_pairs(g):
             for other in incident[w]:
                 if other != idx:
                     lg_adj[idx].add(other)
-    pairs = set()
+    pairs = []
     for s in range(g.m):
-        dist = {s: 0}
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            if dist[x] == 2:
-                continue
-            for y in lg_adj[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        for v, d in dist.items():
-            if v != s and d <= 2:
-                pairs.add((min(s, v), max(s, v)))
+        reach = set(lg_adj[s])  # the first level, then the second
+        for x in lg_adj[s]:
+            reach |= lg_adj[x]
+        pairs.extend((s, v) for v in sorted(reach) if v > s)
     return pairs
 
 
 @given(graphs())
 def test_square_matches_bfs_reference(g):
-    assert set(square_of_linegraph(g).edges) == _linegraph_distance2_pairs(g)
+    assert square_of_linegraph(g).edges == _linegraph_distance2_pairs(g)
 
 
-def _square_edges_full_scan(g):
-    """square_of_linegraph's edge list as emitted by a scan of every
-    incident entry at each center, skipping the indices at or below idx."""
-    incident = [[] for _ in range(g.n)]
-    for idx, (u, v) in enumerate(g.edges):
-        incident[u].append(idx)
-        incident[v].append(idx)
-    sq_edges = []
-    mark = [-1] * g.m
-    for idx, (u, v) in enumerate(g.edges):
-        centers = {u, v}
-        centers.update(g.adj[u])
-        centers.update(g.adj[v])
-        for w in centers:
-            for other in incident[w]:
-                if other > idx and mark[other] != idx:
-                    mark[other] = idx
-                    sq_edges.append((idx, other))
-    return sq_edges
+@given(graphs())
+def test_square_rows_are_symmetric_without_diagonal_and_match_bfs_reference(g):
+    rows = square_rows(g)
+    assert len(rows) == g.m
+    for e, row in enumerate(rows):
+        assert not row >> e & 1 and row >> g.m == 0
+        assert all(rows[f] >> e & 1 for f in range(g.m) if row >> f & 1)
+    pairs = [
+        (e, f) for e, row in enumerate(rows) for f in range(e + 1, g.m) if row >> f & 1
+    ]
+    assert pairs == _linegraph_distance2_pairs(g)
 
 
-def test_square_edge_list_is_the_full_scan_list():
+def test_square_edges_are_complete_and_in_lexicographic_order():
     rng = random.Random(11)
     cases = [random_labeled_tree(rng.randint(1, 120), rng) for _ in range(60)]
     for _ in range(60):
@@ -231,7 +215,7 @@ def test_square_edge_list_is_the_full_scan_list():
         rng.shuffle(pi)
         cases.append(permutation_graph(PermutationDiagram(len(pi), tuple(pi))))
     for g in cases:
-        assert square_of_linegraph(g).edges == _square_edges_full_scan(g), g
+        assert square_of_linegraph(g).edges == sorted(_linegraph_distance2_pairs(g)), g
 
 
 @given(graphs())
