@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import random
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -119,33 +120,42 @@ class DecompositionTree:
 
     ``order`` lists the nodes in post-order (left subtree, right subtree,
     node), so a bottom-up fold over the tree is one loop over it and a
-    top-down pass one loop over ``reversed(order)``.  The walk that builds
-    it is iterative because normalized k-ary inputs produce arbitrarily
-    deep chains.
+    top-down pass one loop over ``reversed(order)``.  Folds keep per-node
+    values in lists by position: the node at i has its right child at
+    i - 1 and its left child at ``left_pos[i]``, -1 at a leaf.  A node
+    shared under a hand-built root takes a position per occurrence, so it
+    stands for a repeated subtree; as every leaf has n >= 1, ``order`` has
+    at most 2 * root.n - 1 entries.  The walk is iterative because
+    normalized k-ary inputs produce arbitrarily deep chains.
     """
 
-    __slots__ = ("root", "order")
+    __slots__ = ("root", "order", "left_pos")
 
     def __init__(self, root: DecompNode):
         if not isinstance(root, _NODES):
             raise DecompositionError(f"not a decomposition node: {root!r}")
         # Visiting node, right subtree, left subtree and reversing the
-        # visit gives the post-order.  Nodes hash by identity (eq=False).
+        # visit gives the post-order.
         order: list[DecompNode] = []
-        seen: set[DecompNode] = set()
         stack = [root]
         while stack:
             node = stack.pop()
-            if node in seen:
-                raise DecompositionError("node appears more than once in the tree")
-            seen.add(node)
             if isinstance(node, _Internal):
                 stack.append(node.left)
                 stack.append(node.right)
             order.append(node)
         order.reverse()
+        # an array: a list would keep an int object per position
+        left_pos = array("q", [-1]) * len(order)
+        done: list[int] = []  # positions of subtrees not yet given a parent
+        for i, node in enumerate(order):
+            if isinstance(node, _Internal):
+                left_pos[i] = done[-2]
+                del done[-2:]
+            done.append(i)
         self.root = root
         self.order = order
+        self.left_pos = left_pos
 
     @property
     def n(self) -> int:
@@ -190,6 +200,8 @@ def parse_decomposition(text: str) -> DecompositionTree:
         raise DecompositionError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise DecompositionError("invalid JSON: an integer is too long") from None
     return DecompositionTree(_node_from_obj(obj))
 
 
@@ -351,7 +363,7 @@ def is_induced_matching_in(tree: DecompositionTree, pairs) -> bool:
     outside and keeps one.  Within a leaf, an endpoint's neighbours among
     the endpoints are its tree neighbours, or the leaf's other endpoints
     less those in a cotree leaf.  Per-node values are lists by post-order
-    position; a node's right child sits just before it.
+    position (see `DecompositionTree`), so a shared node counts per place.
     """
     n = tree.n
     partner = [-1] * n
@@ -362,13 +374,11 @@ def is_induced_matching_in(tree: DecompositionTree, pairs) -> bool:
             return False
         partner[u] = v
         partner[v] = u
-    order = tree.order
+    order, left = tree.order, tree.left_pos
     size = len(order)
     count = [0] * size  # endpoints in the node's graph
     some = [-1] * size  # one of them, or -1
-    left = [-1] * size  # position of an internal node's left child
     offset = [0] * size
-    stack: list[int] = []
     for i, (node, off) in enumerate(tree.placed()):
         offset[i] = off
         if isinstance(node, _Leaf):
@@ -377,11 +387,9 @@ def is_induced_matching_in(tree: DecompositionTree, pairs) -> bool:
                     count[i] += 1
                     some[i] = x
         else:
-            r = stack.pop()
-            left[i] = lf = stack.pop()
-            count[i] = count[lf] + count[r]
-            some[i] = some[lf] if some[lf] != -1 else some[r]
-        stack.append(i)
+            lf = left[i]
+            count[i] = count[lf] + count[i - 1]
+            some[i] = some[lf] if some[lf] != -1 else some[i - 1]
     joined = [0] * size  # endpoints joined to the node from outside it
     via = [-1] * size  # one of them, or -1
     for i in range(size - 1, -1, -1):

@@ -51,10 +51,18 @@ class PermutationDiagram:
     pi: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n != len(self.pi) or sorted(self.pi) != list(range(self.n)):
-            raise PermutationError(
-                f"pi must be a permutation of 0..{self.n - 1}: {self.pi!r}"
-            )
+        n = self.n
+        bad = f"pi must be a permutation of 0..{n - 1}"
+        if n != len(self.pi):
+            raise PermutationError(f"{bad}: it has {len(self.pi)} values")
+        # one pass naming only the first bad value, as pi may be long
+        seen = bytearray(n)
+        for k, v in enumerate(self.pi):
+            if not (isinstance(v, int) and 0 <= v < n):
+                raise PermutationError(f"{bad}: pi[{k}] = {v!r} is out of range")
+            if seen[v]:
+                raise PermutationError(f"{bad}: pi[{k}] = {v} is repeated")
+            seen[v] = 1
 
 
 def parse_permutation(text: str) -> PermutationDiagram:
@@ -76,7 +84,12 @@ def parse_permutation(text: str) -> PermutationDiagram:
         digits = tok[1:] if tok[0] in "+-" else tok
         if not (digits.isascii() and digits.isdigit()):
             raise PermutationError(f"non-integer token {tok!r}")
-        values.append(int(tok))
+        try:
+            values.append(int(tok))
+        except ValueError:  # past the interpreter's digit limit
+            raise PermutationError(
+                f"integer token of {len(digits)} digits is too long"
+            ) from None
     return PermutationDiagram(len(values), tuple(values))
 
 

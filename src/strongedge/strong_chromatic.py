@@ -12,14 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decomposition import (
-    CotreeLeaf,
-    DecompNode,
-    DecompositionTree,
-    JoinNode,
-    TreeLeaf,
-    UnionNode,
-)
+from .decomposition import CotreeLeaf, DecompositionTree, JoinNode, TreeLeaf, UnionNode
 from .graph import Graph, StrongEdgeColoring, bfs_tree
 
 # strong_coloring calls neither; bench/spans.py traces both by these names here.
@@ -30,10 +23,11 @@ __all__ = ["SChiResult", "sci", "strong_coloring"]
 
 @dataclass(frozen=True)
 class SChiResult:
-    """Strong chromatic index of the whole tree and of every subtree."""
+    """Strong chromatic index of the whole tree and, by post-order position
+    in ``tree.order``, of every subtree: ``per_node[-1] == value``."""
 
     value: int
-    per_node: dict[DecompNode, int]
+    per_node: list[int]
 
 
 def _sci_tree(t: Graph) -> int:
@@ -46,19 +40,19 @@ def _sci_tree(t: Graph) -> int:
 
 def sci(tree: DecompositionTree) -> SChiResult:
     """Bottom-up strong chromatic index; linear in leaf sizes + tree size."""
-    per_node: dict[DecompNode, int] = {}
-    for node in tree.order:
+    per_node: list[int] = []
+    for node, lf in zip(tree.order, tree.left_pos):
         if isinstance(node, TreeLeaf):
-            per_node[node] = _sci_tree(node.t)
+            per_node.append(_sci_tree(node.t))
         elif isinstance(node, CotreeLeaf):
             # L(complement of t)^2 is a clique: one color per edge
-            per_node[node] = node.m
+            per_node.append(node.m)
         elif isinstance(node, JoinNode):
             cross = node.left.n * node.right.n
-            per_node[node] = cross + per_node[node.left] + per_node[node.right]
+            per_node.append(cross + per_node[lf] + per_node[-1])
         else:
-            per_node[node] = max(per_node[node.left], per_node[node.right])
-    return SChiResult(per_node[tree.root], per_node)
+            per_node.append(max(per_node[lf], per_node[-1]))
+    return SChiResult(per_node[-1], per_node)
 
 
 def _tree_leaf_coloring(t: Graph) -> list[int]:
@@ -102,21 +96,21 @@ def strong_coloring(tree: DecompositionTree) -> StrongEdgeColoring:
     relabeled to first-use order.
     """
     per = sci(tree).per_node
-    base = {tree.root: 0}
-    for node in reversed(tree.order):
+    order, left = tree.order, tree.left_pos
+    base = [0] * len(order)
+    for i in range(len(order) - 1, -1, -1):
+        node, lf = order[i], left[i]
         if isinstance(node, JoinNode):
-            base[node.left] = base[node]
-            base[node.right] = base[node] + per[node.left]
+            base[lf] = base[i]
+            base[i - 1] = base[i] + per[lf]
         elif isinstance(node, UnionNode):
-            base[node.left] = base[node.right] = base[node]
+            base[lf] = base[i - 1] = base[i]
     colors: list[int] = []
-    for node in tree.order:
-        b = base[node]
+    for node, b, width in zip(order, base, per):
         if isinstance(node, TreeLeaf):
             colors.extend(b + c for c in _tree_leaf_coloring(node.t))
         elif isinstance(node, CotreeLeaf):
             colors.extend(range(b, b + node.m))
         elif isinstance(node, JoinNode):
-            cross_base = b + per[node.left] + per[node.right]
-            colors.extend(range(cross_base, cross_base + node.left.n * node.right.n))
+            colors.extend(range(b + width - node.left.n * node.right.n, b + width))
     return StrongEdgeColoring.from_colors(colors)

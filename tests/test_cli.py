@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import importlib.util
 import inspect
@@ -7,7 +8,9 @@ import random
 import sys
 import tracemalloc
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 import strongedge
 from strongedge import (
@@ -144,14 +147,56 @@ def test_malformed_decomposition_is_an_input_error(monkeypatch, capsys):
         "1\u00a00",
         "\t1 0\r\n",
         "1 0\n\n",
+        # int() raises ValueError past the interpreter's digit limit
+        "1" * 5000 + " 0",
     ],
     ids=["repeat", "underscore", "non-ascii", "two-lines", "nbsp", "tab-crlf",
-         "blank-line"],
+         "blank-line", "digit-limit"],
 )
 def test_bad_permutation_is_an_input_error(text, monkeypatch, capsys):
     feed(monkeypatch, text)
     assert main(["perm"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sci", "im", "oracle"])
+def test_integer_past_the_digit_limit_is_an_input_error(command, monkeypatch, capsys):
+    # json.loads raises a plain ValueError here, not JSONDecodeError
+    feed(monkeypatch, '{"type":"tree","n":' + "1" * 5000 + ',"edges":[]}')
+    assert main([command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_bad_permutation_error_is_one_short_line(monkeypatch, capsys):
+    feed(monkeypatch, " ".join(["0"] * 200_000))
+    assert main(["perm"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "permutation" in err
+    assert err.count("\n") == 1 and len(err) < 200
+
+
+@given(
+    argv=st.sampled_from([
+        ["sci", "--verify", "--color"], ["im", "--verify"], ["perm", "--verify", "--color"]
+    ]),
+    # arbitrary text, with the characters of both input formats drawn often
+    text=st.text(st.sampled_from(list('{}[],:" 0123456789-\n')) | st.characters(),
+                 max_size=200),
+)
+def test_arbitrary_text_exits_0_or_2_without_a_traceback(argv, text):
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_perm_verify_rejects_a_bad_coloring(monkeypatch, capsys):

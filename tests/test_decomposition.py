@@ -21,6 +21,7 @@ from strongedge import (
     im,
     is_induced_matching,
     is_induced_matching_in,
+    is_strong_edge_coloring,
     is_tree,
     parse_decomposition,
     random_labeled_tree,
@@ -141,10 +142,35 @@ def test_kary_children_normalize_to_left_leaning_chains():
         )
 
 
-def test_node_aliasing_is_rejected():
-    leaf = TreeLeaf(build_graph(2, [(0, 1)]))
-    with pytest.raises(DecompositionError, match="more than once"):
-        DecompositionTree(UnionNode(leaf, leaf))
+def _unshared(node):
+    """A copy of the subtree under `node` that shares no node."""
+    if isinstance(node, (TreeLeaf, CotreeLeaf)):
+        return type(node)(node.t)
+    return type(node)(_unshared(node.left), _unshared(node.right))
+
+
+def test_shared_nodes_fold_as_repeated_subtrees():
+    # Op(x, Op'(x, x)) holds x three times; every fold must answer for the
+    # tree with three separate copies of x
+    for seed in range(8):
+        x = random_tree_cograph(seed, 3, 4).root
+        x_nodes = len(DecompositionTree(x).order)
+        for outer, inner in ((JoinNode, UnionNode), (UnionNode, JoinNode),
+                             (JoinNode, JoinNode), (UnionNode, UnionNode)):
+            shared = DecompositionTree(outer(x, inner(x, x)))
+            plain = DecompositionTree(_unshared(shared.root))
+            assert len(shared.order) == len(plain.order) == 3 * x_nodes + 2
+            assert sci(shared).per_node == sci(plain).per_node
+            coloring = strong_coloring(shared)
+            assert coloring == strong_coloring(plain)
+            g = realize(shared)
+            assert g.edges == realize(plain).edges
+            assert is_strong_edge_coloring(g, coloring)
+            matching = im(shared)
+            assert matching == im(plain)
+            assert is_induced_matching_in(shared, matching.witness)
+            assert is_induced_matching(g, matching.witness)
+            assert serialize_decomposition(shared) == serialize_decomposition(plain)
 
 
 def test_non_nodes_are_rejected():
@@ -207,6 +233,21 @@ def test_order_lists_each_node_once_children_first(t):
     assert len({id(node) for node in t.order}) == len(t.order)
 
 
+def _assert_child_positions(t):
+    for i, node in enumerate(t.order):
+        if isinstance(node, (TreeLeaf, CotreeLeaf)):
+            assert t.left_pos[i] == -1
+        else:
+            assert t.order[t.left_pos[i]] is node.left
+            assert t.order[i - 1] is node.right
+
+
+@given(decomposition_trees())
+def test_left_pos_names_each_left_child(t):
+    assert len(t.left_pos) == len(t.order)
+    _assert_child_positions(t)
+
+
 def test_folds_run_on_hand_built_chains_10_5_deep():
     k2 = build_graph(2, [(0, 1)])
     depth = 10**5
@@ -217,6 +258,7 @@ def test_folds_run_on_hand_built_chains_10_5_deep():
             node = UnionNode(node, leaf) if leftward else UnionNode(leaf, node)
         t = DecompositionTree(node)
         assert len(t.order) == 2 * depth + 1
+        _assert_child_positions(t)
         assert sci(t).value == 1
         assert im(t).value == depth + 1
         assert realize(t).m == depth + 1

@@ -74,10 +74,12 @@ def test_sci_examples():
 
 
 def test_sci_per_node_bookkeeping():
+    # per_node is by post-order position: left leaf, right leaf, join
     t = parse_decomposition(JOIN_K2_K2)
     res = sci(t)
-    assert res.per_node[t.root] == res.value
-    assert res.per_node[t.root.left] == res.per_node[t.root.right] == 1
+    assert list(t.left_pos) == [-1, -1, 0]
+    assert res.per_node == [1, 1, 6]
+    assert res.per_node[-1] == res.value
 
 
 def test_strong_coloring_examples():
