@@ -8,7 +8,9 @@ paths against brute force on the squared linegraph:
   sci(t)      vs  exact chromatic number
   im(t)       vs  exact maximum independent set (witness re-verified)
 
-Prints a summary and exits 1 on any disagreement.
+It also checks strong_coloring(t) with both coloring checkers, on the
+decomposition and on the realized graph.  Prints a summary and exits 1 on
+any disagreement, bad witness or bad coloring.
 """
 
 import argparse
@@ -20,10 +22,13 @@ from strongedge import (
     exact_max_independent_set,
     im,
     is_induced_matching,
+    is_strong_edge_coloring,
+    is_strong_edge_coloring_in,
     random_tree_cograph,
     realize,
     sci,
     square_of_linegraph,
+    strong_coloring,
 )
 from strongedge.oracle import timed
 
@@ -31,6 +36,7 @@ from strongedge.oracle import timed
 def run(args: argparse.Namespace) -> int:
     reports: list[OracleReport] = []
     bad_witness = 0
+    bad_coloring = 0
     seed = args.seed
     kept = 0
     t0 = time.perf_counter()
@@ -57,6 +63,12 @@ def run(args: argparse.Namespace) -> int:
         ):
             bad_witness += 1
             print(f"BAD WITNESS {desc}: {result.witness}")
+        coloring = strong_coloring(tree)
+        if not (
+            is_strong_edge_coloring_in(tree, coloring) and is_strong_edge_coloring(g, coloring)
+        ):
+            bad_coloring += 1
+            print(f"BAD COLORING {desc}: {coloring.colors}")
 
     disagreements = [r for r in reports if not r.agree]
     for r in disagreements:
@@ -69,9 +81,9 @@ def run(args: argparse.Namespace) -> int:
 
     elapsed = time.perf_counter() - t0
     print(f"{kept} instances, {len(reports)} comparisons, "
-          f"{len(disagreements)} disagreements, {bad_witness} bad witnesses "
-          f"({elapsed:.1f}s)")
-    return 0 if not disagreements and bad_witness == 0 else 1
+          f"{len(disagreements)} disagreements, {bad_witness} bad witnesses, "
+          f"{bad_coloring} bad colorings ({elapsed:.1f}s)")
+    return 0 if not disagreements and bad_witness == 0 and bad_coloring == 0 else 1
 
 
 def main() -> int:

@@ -17,6 +17,7 @@ from .decomposition import (
     TreeLeaf,
     UnionNode,
     is_induced_matching_in,
+    is_strong_edge_coloring_in,
     parse_decomposition,
     random_labeled_tree,
     random_tree_cograph,
@@ -95,6 +96,7 @@ __all__ = [
     "is_induced_matching_in",
     "is_ptolemaic",
     "is_strong_edge_coloring",
+    "is_strong_edge_coloring_in",
     "is_tree",
     "parse_decomposition",
     "parse_permutation",

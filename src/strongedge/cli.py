@@ -12,11 +12,13 @@ import json
 import random
 import sys
 from dataclasses import asdict
+from itertools import islice
 from pathlib import Path
 
 from .decomposition import (
     DecompositionError,
     is_induced_matching_in,
+    is_strong_edge_coloring_in,
     parse_decomposition,
     random_tree_cograph,
     realize,
@@ -54,11 +56,26 @@ def _read_input(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _coloring_rows(g, coloring):
-    return [
-        {"edge": [u, v], "color": coloring.colors[i]}
-        for i, (u, v) in enumerate(g.edges)
-    ]
+# rows of the coloring formatted and written at a time
+_ROW_BLOCK = 2048
+
+
+def _print_coloring(out: dict | None, edges, colors) -> None:
+    """Print the coloring as the JSON list of ``{"edge": [u, v], "color":
+    c}`` rows, byte for byte what `json.dumps` gives, on a line of its own
+    or, given ``out``, as the last key of ``out``'s JSON object.  The rows
+    are formatted and written a block at a time, so no list of them is
+    built."""
+    write = sys.stdout.write
+    write("[" if out is None else json.dumps(out)[:-1] + ', "coloring": [')
+    rows = zip(edges, colors)
+    sep = ""
+    while block := [
+        f'{{"edge": [{u}, {v}], "color": {c}}}' for (u, v), c in islice(rows, _ROW_BLOCK)
+    ]:
+        write(sep + ", ".join(block))
+        sep = ", "
+    write("]\n" if out is None else "]}\n")
 
 
 class _VerificationFailed(Exception):
@@ -75,26 +92,25 @@ def cmd_sci(args) -> int:
     result = sci(tree)
     out = {"command": "sci", "n": tree.n, "m": tree.m, "value": result.value}
     coloring = None
-    g = None
     if args.color or args.verify:
         coloring = strong_coloring(tree)
-        g = realize(tree)
     if args.verify:
-        if not is_strong_edge_coloring(g, coloring):
+        if not is_strong_edge_coloring_in(tree, coloring):
             raise _VerificationFailed("coloring is not a strong edge coloring")
         if coloring.palette_size != result.value:
             raise _VerificationFailed(
                 f"palette {coloring.palette_size} != index {result.value}"
             )
         out["verified"] = True
-    if args.color:
-        out["coloring"] = _coloring_rows(g, coloring)
     if args.json:
-        print(json.dumps(out))
+        if args.color:
+            _print_coloring(out, tree.edges(), coloring.colors)
+        else:
+            print(json.dumps(out))
     else:
         print(f"strong chromatic index: {result.value}")
         if args.color:
-            print(json.dumps(out["coloring"]))
+            _print_coloring(None, tree.edges(), coloring.colors)
         if args.verify:
             print("coloring verified: valid and palette matches the index")
     return 0
@@ -141,14 +157,15 @@ def cmd_perm(args) -> int:
         if not is_chain_coloring(diagram, g, coloring):
             raise _VerificationFailed("coloring is not a strong edge coloring")
         out["verified"] = True
-    if args.color:
-        out["coloring"] = _coloring_rows(g, coloring)
     if args.json:
-        print(json.dumps(out))
+        if args.color:
+            _print_coloring(out, g.edges, coloring.colors)
+        else:
+            print(json.dumps(out))
     else:
         print(f"palette size: {coloring.palette_size}")
         if args.color:
-            print(json.dumps(out["coloring"]))
+            _print_coloring(None, g.edges, coloring.colors)
         if args.verify:
             print("coloring verified: valid strong edge coloring")
     return 0
@@ -159,6 +176,12 @@ def _oracle_decomposition(text: str, budget: int | None) -> list[OracleReport]:
     g = realize(tree)
     sq = square_of_linegraph(g)
     desc = f"decomposition(n={g.n},m={g.m})"
+    coloring = strong_coloring(tree)
+    # both verifiers must accept, so the oracle keeps them in agreement
+    if not (
+        is_strong_edge_coloring_in(tree, coloring) and is_strong_edge_coloring(g, coloring)
+    ):
+        raise _VerificationFailed("coloring is not a strong edge coloring")
     fast_sci = sci(tree).value
     chi, t_chi = timed(exact_chromatic_number, sq, budget)
     fast_im = im(tree).value

@@ -5,8 +5,8 @@ or union operations and whose leaves carry a tree t, representing either t
 itself or the complement of t.  The complement is a label, never data: a
 cotree leaf describes Theta(n^2) edges with an O(n) tree, which is what
 makes the index computations linear.  `realize` materializes the graph for
-verification and small instances only; `is_induced_matching_in` checks a
-matching on the decomposition itself.
+the oracle and small instances only; `is_induced_matching_in` and
+`is_strong_edge_coloring_in` check certificates on the decomposition itself.
 """
 
 from __future__ import annotations
@@ -14,10 +14,13 @@ from __future__ import annotations
 import json
 import random
 from array import array
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import chain, groupby, repeat
+from operator import mul
 
-from .graph import Graph, GraphError, build_graph, is_tree, nonedges
+from .graph import Graph, GraphError, bfs_tree, build_graph, clipped_repr, is_tree, nonedges
 
 __all__ = [
     "DecompositionError",
@@ -30,6 +33,7 @@ __all__ = [
     "serialize_decomposition",
     "realize",
     "is_induced_matching_in",
+    "is_strong_edge_coloring_in",
     "tree_from_prufer",
     "random_labeled_tree",
     "random_tree_cograph",
@@ -180,6 +184,29 @@ class DecompositionTree:
                 total += node.n
             yield node, total - node.n
 
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Yield the edges of the represented graph on global vertex ids,
+        u < v, in the canonical order that `realize` lists and
+        `strong_coloring` colors.
+
+        Within any node: left-subtree edges, then right-subtree edges, then
+        (for a join) the cross edges in lexicographic order.  Tree leaves
+        keep their input edge order; cotree leaves list nonedges
+        lexicographically.
+        """
+        for node, off in self.placed():
+            if isinstance(node, TreeLeaf):
+                for u, v in node.t.edges:
+                    yield u + off, v + off
+            elif isinstance(node, CotreeLeaf):
+                for u, v in nonedges(node.t):
+                    yield u + off, v + off
+            elif isinstance(node, JoinNode):
+                mid, end = off + node.left.n, off + node.n
+                for u in range(off, mid):
+                    for v in range(mid, end):
+                        yield u, v
+
     def __repr__(self) -> str:
         return f"DecompositionTree(n={self.n}, m={self.m})"
 
@@ -232,7 +259,7 @@ def _node_from_obj(obj, path: str = "$") -> DecompNode:
         elif kind in ("join", "union"):
             extra_keys = set(o) - {"type", "children"}
             if extra_keys:
-                raise DecompositionError(f"{p}: unexpected keys {sorted(extra_keys)}")
+                raise _unexpected_keys(p, extra_keys)
             children = o.get("children")
             if not isinstance(children, list) or len(children) < 2:
                 raise DecompositionError(
@@ -244,8 +271,17 @@ def _node_from_obj(obj, path: str = "$") -> DecompNode:
         elif kind is None:
             raise DecompositionError(f"{p}: missing 'type'")
         else:
-            raise DecompositionError(f"{p}: unknown node type {kind!r}")
+            raise DecompositionError(f"{p}: unknown node type {clipped_repr(kind)}")
     return results[0]
+
+
+def _unexpected_keys(path: str, extra: set) -> DecompositionError:
+    """The error naming a node's unexpected keys; a long list is cut short
+    and given with its count."""
+    shown = clipped_repr(sorted(extra))
+    if shown.endswith("..."):
+        shown += f" ({len(extra)} keys)"
+    return DecompositionError(f"{path}: unexpected keys {shown}")
 
 
 def _leaf_from_obj(obj: dict, path: str) -> DecompNode:
@@ -257,7 +293,7 @@ def _leaf_from_obj(obj: dict, path: str) -> DecompNode:
     the first bad pair."""
     extra = set(obj) - {"type", "n", "edges"}
     if extra:
-        raise DecompositionError(f"{path}: unexpected keys {sorted(extra)}")
+        raise _unexpected_keys(path, extra)
     n = obj.get("n")
     if type(n) is not int or n < 1:
         raise DecompositionError(f"{path}: 'n' must be a positive integer")
@@ -328,26 +364,10 @@ def serialize_decomposition(tree: DecompositionTree) -> str:
 
 
 def realize(tree: DecompositionTree) -> Graph:
-    """Materialize the represented graph on global vertex ids.
-
-    Edge order is canonical and mirrored by the coloring construction:
-    within any node, left-subtree edges, then right-subtree edges, then (for
-    a join) the cross edges in lexicographic order.  Tree leaves keep their
-    input edge order; cotree leaves list nonedges lexicographically.
-    Quadratic in the output size, so verification-scale only.
-    """
-    edges: list[tuple[int, int]] = []
-    for node, off in tree.placed():
-        if isinstance(node, TreeLeaf):
-            edges.extend((u + off, v + off) for u, v in node.t.edges)
-        elif isinstance(node, CotreeLeaf):
-            edges.extend((u + off, v + off) for u, v in nonedges(node.t))
-        elif isinstance(node, JoinNode):
-            mid = off + node.left.n
-            for u in range(off, mid):
-                for v in range(mid, off + node.n):
-                    edges.append((u, v))
-    return Graph(tree.n, edges)
+    """Materialize the represented graph on global vertex ids, with its
+    edges in the canonical order of `DecompositionTree.edges`.  Quadratic
+    in the output size, so for the oracle and small instances only."""
+    return Graph(tree.n, list(tree.edges()))
 
 
 def is_induced_matching_in(tree: DecompositionTree, pairs) -> bool:
@@ -422,6 +442,73 @@ def is_induced_matching_in(tree: DecompositionTree, pairs) -> bool:
             if partner[x + off] != y:
                 return False
     return True
+
+
+def is_strong_edge_coloring_in(tree: DecompositionTree, coloring) -> bool:
+    """True iff ``coloring``, by edge index in `DecompositionTree.edges`
+    order, is a strong edge coloring of the graph the tree represents: the
+    verdict `is_strong_edge_coloring` gives on `realize(tree)`, with no
+    `Graph`, no list of edges and no set per vertex kept.
+
+    With C(x) the colors at vertex x, a coloring is strong iff the colors
+    at each vertex are distinct and the edges xy have |C(x) & C(y)| = 1
+    each, their own color, so sum m together.  That sum is the sum over
+    colors c of the edges induced by the class's endpoints, and it splits
+    over the tree: inside a leaf, the colors shared along its tree edges,
+    or for a cotree leaf the sum over c of C(s_c, 2) less those, where s_c
+    counts the leaf's vertices with color c; at a join, the sum over c of
+    s_c(left) * s_c(right).  The counts s_c are kept only for the subtrees
+    below a join, and merged small into large up to it.  Memory is the
+    colors at each vertex, 2m entries, and the counts.
+    """
+    colors = coloring.colors
+    if len(colors) != tree.m:
+        raise GraphError(f"coloring has {len(colors)} entries for {tree.m} edges")
+    at: list[list[int]] = [[] for _ in range(tree.n)]
+    for (u, v), c in zip(tree.edges(), colors):
+        at[u].append(c)
+        at[v].append(c)
+    if sum(map(len, map(set, at))) != 2 * tree.m:
+        return False  # a color repeats at some vertex
+    order, left = tree.order, tree.left_pos
+    below_join = bytearray(len(order))
+    for i in range(len(order) - 1, -1, -1):
+        if isinstance(order[i], _Internal):
+            below_join[left[i]] = below_join[i - 1] = (
+                below_join[i] or isinstance(order[i], JoinNode)
+            )
+    shared = 0  # sum over the edges xy of |C(x) & C(y)|
+    counts: list[Counter | None] = []  # s_c of each subtree not yet given a parent
+    for i, (node, off) in enumerate(tree.placed()):
+        if isinstance(node, _Internal):
+            small, large = counts.pop(), counts.pop()
+            if below_join[i - 1]:  # so are both children, which have counts
+                if len(small) > len(large):
+                    small, large = large, small
+                if isinstance(node, JoinNode):
+                    across = map(large.get, small, repeat(0))
+                    shared += sum(map(mul, small.values(), across))
+                if below_join[i]:
+                    large.update(small)
+            counts.append(large if below_join[i] else None)
+            continue
+        here = at[off : off + node.n]
+        inside = 0  # colors shared along the leaf's tree edges
+        tree_order, parent = bfs_tree(node.t)
+        # the search lists the children of each vertex together
+        for p, kids in groupby(tree_order[1:], parent.__getitem__):
+            have = set(here[p])
+            below = chain.from_iterable(map(here.__getitem__, kids))
+            inside += sum(map(have.__contains__, below))
+        count = None
+        if below_join[i] or isinstance(node, CotreeLeaf):
+            count = Counter(chain.from_iterable(here))
+        if isinstance(node, CotreeLeaf):
+            s_c = count.values()
+            inside = (sum(map(mul, s_c, s_c)) - sum(s_c)) // 2 - inside
+        shared += inside
+        counts.append(count if below_join[i] else None)
+    return shared == tree.m
 
 
 def tree_from_prufer(n: int, seq: list[int]) -> Graph:

@@ -11,6 +11,13 @@ class GraphError(ValueError):
     """Raised for malformed graph inputs (self-loops, duplicates, bad ids)."""
 
 
+def clipped_repr(value, limit: int = 60) -> str:
+    """``repr(value)``, cut after `limit` characters and then ended with
+    "...": an error message that quotes outside input stays one short line."""
+    text = repr(value)
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 class Graph:
     """Undirected simple graph on vertices 0..n-1 with a stable edge index.
 

@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graph import Graph, StrongEdgeColoring
+from .graph import Graph, StrongEdgeColoring, clipped_repr
 
 __all__ = [
     "PermutationError",
@@ -83,7 +83,7 @@ def parse_permutation(text: str) -> PermutationDiagram:
             continue
         digits = tok[1:] if tok[0] in "+-" else tok
         if not (digits.isascii() and digits.isdigit()):
-            raise PermutationError(f"non-integer token {tok!r}")
+            raise PermutationError(f"non-integer token {clipped_repr(tok)}")
         try:
             values.append(int(tok))
         except ValueError:  # past the interpreter's digit limit

@@ -105,12 +105,24 @@ def strong_coloring(tree: DecompositionTree) -> StrongEdgeColoring:
             base[i - 1] = base[i] + per[lf]
         elif isinstance(node, UnionNode):
             base[lf] = base[i - 1] = base[i]
+    # Colors are relabeled to first-use order as they are emitted, through
+    # one label per color of the root's range: the coloring then refers to
+    # one int object per color, not one per edge.
+    label = [-1] * per[-1]
+    k = 0
     colors: list[int] = []
     for node, b, width in zip(order, base, per):
         if isinstance(node, TreeLeaf):
-            colors.extend(b + c for c in _tree_leaf_coloring(node.t))
+            raw = [b + c for c in _tree_leaf_coloring(node.t)]
         elif isinstance(node, CotreeLeaf):
-            colors.extend(range(b, b + node.m))
+            raw = range(b, b + node.m)
         elif isinstance(node, JoinNode):
-            colors.extend(range(b + width - node.left.n * node.right.n, b + width))
-    return StrongEdgeColoring.from_colors(colors)
+            raw = range(b + width - node.left.n * node.right.n, b + width)
+        else:
+            continue
+        for r in raw:
+            if label[r] < 0:
+                label[r] = k
+                k += 1
+            colors.append(label[r])
+    return StrongEdgeColoring(tuple(colors), k)

@@ -17,9 +17,15 @@ from strongedge import (
     StrongEdgeColoring,
     cli,
     oracle,
+    parse_decomposition,
+    parse_permutation,
+    permutation_graph,
     random_labeled_tree,
     random_tree_cograph,
+    realize,
     serialize_decomposition,
+    strong_color_permutation,
+    strong_coloring,
 )
 from strongedge.cli import build_parser, main
 
@@ -177,6 +183,29 @@ def test_bad_permutation_error_is_one_short_line(monkeypatch, capsys):
     assert err.count("\n") == 1 and len(err) < 200
 
 
+def _extra_keys(obj):
+    return json.dumps({**obj, **{f"key{i:05}": 0 for i in range(30_000)}})
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("perm", "1 x" + "y" * 300_000),
+        ("sci", _extra_keys({"type": "tree", "n": 1, "edges": []})),
+        ("sci", _extra_keys({"type": "union", "children": json.loads(JOIN_K2_K2)["children"]})),
+        ("sci", json.dumps({"type": list(range(50_000))})),
+    ],
+    ids=["token", "leaf-keys", "union-keys", "type"],
+)
+def test_echoed_input_is_cut_short_in_errors(command, text, monkeypatch, capsys):
+    feed(monkeypatch, text)
+    assert main([command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err.encode()) <= 200
+
+
 @given(
     argv=st.sampled_from([
         ["sci", "--verify", "--color"], ["im", "--verify"], ["perm", "--verify", "--color"]
@@ -228,6 +257,78 @@ def test_perm_verify_needs_no_generic_checker_or_trapezoids(monkeypatch, capsys)
     feed(monkeypatch, " ".join(map(str, pi)))
     code, out = run_json(capsys, ["perm", "--json", "--color", "--verify"])
     assert code == 0 and out["verified"] is True and out["n"] == 300
+
+
+def test_sci_verify_and_color_need_no_realized_graph(monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError("sci reached realize or the generic checker")
+
+    for target in (
+        "strongedge.cli.realize",
+        "strongedge.decomposition.realize",
+        "strongedge.cli.is_strong_edge_coloring",
+        "strongedge.graph.is_strong_edge_coloring",
+    ):
+        monkeypatch.setattr(target, unreachable)
+    doc = serialize_decomposition(random_tree_cograph(0, 5, 8))
+    feed(monkeypatch, doc)
+    code, out = run_json(capsys, ["sci", "--json", "--color", "--verify"])
+    assert code == 0 and out["verified"] is True and out["m"] > 100
+    assert len(out["coloring"]) == out["m"]
+
+
+def _rows(edges, colors):
+    return [{"edge": [u, v], "color": c} for (u, v), c in zip(edges, colors)]
+
+
+# a join of two 60-vertex paths: 3,718 edges, more than one block of rows
+_PATH60 = {"type": "tree", "n": 60, "edges": [[i, i + 1] for i in range(59)]}
+_DOCS = [
+    JOIN_K2_K2,
+    '{"type":"tree","n":1,"edges":[]}',
+    json.dumps({"type": "join", "children": [_PATH60, _PATH60]}),
+    serialize_decomposition(random_tree_cograph(0, 5, 8)),
+]
+
+
+@pytest.mark.parametrize("doc", _DOCS, ids=["k4", "edgeless", "two-blocks", "gen"])
+@pytest.mark.parametrize("mode", ["json", "text"])
+def test_sci_coloring_rows_are_what_json_dumps_writes(doc, mode, monkeypatch, capsys):
+    tree = parse_decomposition(doc)
+    coloring = strong_coloring(tree)
+    rows = _rows(realize(tree).edges, coloring.colors)
+    out = {"command": "sci", "n": tree.n, "m": tree.m, "value": coloring.palette_size,
+           "verified": True, "coloring": rows}
+    if mode == "json":
+        want = json.dumps(out) + "\n"
+    else:
+        want = (f"strong chromatic index: {out['value']}\n{json.dumps(rows)}\n"
+                "coloring verified: valid and palette matches the index\n")
+    feed(monkeypatch, doc)
+    assert main(["sci", "--color", "--verify"] + (["--json"] if mode == "json" else [])) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 100])
+@pytest.mark.parametrize("mode", ["json", "text"])
+def test_perm_coloring_rows_are_what_json_dumps_writes(n, mode, monkeypatch, capsys):
+    pi = list(range(n))
+    random.Random(n).shuffle(pi)
+    text = " ".join(map(str, pi))
+    diagram = parse_permutation(text)
+    g = permutation_graph(diagram)
+    coloring = strong_color_permutation(diagram, g)
+    rows = _rows(g.edges, coloring.colors)
+    if mode == "json":
+        want = json.dumps({"command": "perm", "n": n, "m": g.m,
+                           "palette": coloring.palette_size, "coloring": rows}) + "\n"
+    else:
+        want = f"palette size: {coloring.palette_size}\n{json.dumps(rows)}\n"
+    feed(monkeypatch, text)
+    assert main(["perm", "--color"] + (["--json"] if mode == "json" else [])) == 0
+    assert capsys.readouterr().out == want
+    if n == 100:
+        assert g.m > cli._ROW_BLOCK
 
 
 def test_oracle_agreement(monkeypatch, capsys):
@@ -343,7 +444,7 @@ def test_fast_path_never_reaches_the_oracle(argv, texts, monkeypatch, capsys):
 
 def test_failed_verification_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(
-        "strongedge.cli.is_strong_edge_coloring", lambda g, c: False
+        "strongedge.cli.is_strong_edge_coloring_in", lambda tree, c: False
     )
     feed(monkeypatch, JOIN_K2_K2)
     assert main(["sci", "--verify"]) == 1
@@ -401,13 +502,22 @@ def test_oracle_failed_permutation_verification_exits_one(monkeypatch, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_oracle_rejects_a_coloring_either_checker_rejects(monkeypatch, capsys):
+    monkeypatch.setattr("strongedge.cli.is_strong_edge_coloring_in", lambda tree, c: False)
+    feed(monkeypatch, JOIN_K2_K2)
+    assert main(["oracle", "--mode", "decomp"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verification failed: coloring is not a strong edge coloring\n"
+
+
 @pytest.mark.parametrize("command", ["sci", "im"])
 def test_out_of_memory_is_an_input_error(command, monkeypatch, capsys):
     def exhausted(*args):
         raise MemoryError
 
     # the call each command's --verify makes on the whole tree
-    target = {"sci": "realize", "im": "is_induced_matching_in"}[command]
+    target = {"sci": "is_strong_edge_coloring_in", "im": "is_induced_matching_in"}[command]
     monkeypatch.setattr(f"strongedge.cli.{target}", exhausted)
     feed(monkeypatch, JOIN_K2_K2)
     assert main([command, "--verify"]) == 2
@@ -468,7 +578,7 @@ def test_public_names_resolve_and_removed_ones_are_gone():
         "chordal_coloring", "lexbfs_order", "is_perfect_elimination_ordering",
     ):
         assert name not in strongedge.__all__ and not hasattr(strongedge, name)
-    assert len(strongedge.__all__) == 46
+    assert len(strongedge.__all__) == 47
     assert importlib.util.find_spec("strongedge.chordal") is None
     for name in oracle.__all__:
         assert getattr(oracle, name) is not None, name

@@ -13,6 +13,7 @@ from strongedge import (
     DecompositionError,
     DecompositionTree,
     GraphError,
+    StrongEdgeColoring,
     JoinNode,
     TreeLeaf,
     UnionNode,
@@ -22,6 +23,7 @@ from strongedge import (
     is_induced_matching,
     is_induced_matching_in,
     is_strong_edge_coloring,
+    is_strong_edge_coloring_in,
     is_tree,
     parse_decomposition,
     random_labeled_tree,
@@ -633,3 +635,108 @@ def test_induced_matching_in_agrees_with_the_realized_graph(t, data):
         pair = st.one_of(pair, st.sampled_from(g.edges))
     for _ in range(3):
         _agree(t, g, data.draw(st.lists(pair, max_size=5)))
+
+
+# --- the strong-coloring check on the decomposition ---------------------------
+
+
+def _both_say(t, colors):
+    """The verdict of the check on the decomposition, asserted to be the
+    one the generic checker gives on the realized graph."""
+    coloring = StrongEdgeColoring.from_colors(colors)
+    verdict = is_strong_edge_coloring_in(t, coloring)
+    assert verdict == is_strong_edge_coloring(realize(t), coloring), colors
+    return verdict
+
+
+def test_edges_are_the_realized_edges_in_order():
+    t = parse_decomposition(
+        '{"type":"join","children":[{"type":"cotree","n":4,"edges":[[0,1],[1,2],[2,3]]},'
+        f'{K2_LEAF},{{"type":"tree","n":3,"edges":[[2,1],[1,0]]}}]}}'
+    )
+    # the cotree's nonedges, the K2, their cross edges, the tree, the last join
+    assert list(t.edges()) == realize(t).edges == [
+        (0, 2), (0, 3), (1, 3), (4, 5),
+        (0, 4), (0, 5), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5),
+        (7, 8), (6, 7),
+    ] + [(u, v) for u in range(6) for v in range(6, 9)]
+
+
+def test_strong_coloring_check_rejects_a_swap_across_a_join():
+    """Each side of the join is a union of two K2s whose edges share a
+    color.  Swapping the colors of one edge on each side puts a color on
+    both sides of the join, where every vertex sees every other."""
+    t = parse_decomposition(f'{{"type":"join","children":[{UNION_K2_K2},{UNION_K2_K2}]}}')
+    colors = list(strong_coloring(t).colors)
+    assert colors[0] == colors[1] and colors[2] == colors[3] != colors[0]
+    assert _both_say(t, colors)
+    colors[0], colors[2] = colors[2], colors[0]
+    assert not _both_say(t, colors)
+
+
+def test_strong_coloring_check_rejects_a_cotree_edge_in_a_neighbours_color():
+    """The complement of a five-vertex path beside a path: each cotree edge
+    given the color of each edge sharing one of its ends is rejected.  The
+    path's first edge may take any cotree color across the union but the
+    colors of the two path edges within distance two of it."""
+    p5 = "[[0,1],[1,2],[2,3],[3,4]]"
+    t = parse_decomposition(
+        f'{{"type":"union","children":[{{"type":"cotree","n":5,"edges":{p5}}},'
+        f'{{"type":"tree","n":5,"edges":{p5}}}]}}'
+    )
+    edges = list(t.edges())
+    colors = list(strong_coloring(t).colors)
+    assert _both_say(t, colors)
+    cotree = range(6)  # its nonedges come first
+    rejected = accepted = 0
+    for i in cotree:
+        for j in cotree:
+            if i != j and set(edges[i]) & set(edges[j]):
+                assert not _both_say(t, colors[:i] + [colors[j]] + colors[i + 1 :])
+                rejected += 1
+        reused = colors[:6] + [colors[i]] + colors[7:]
+        assert _both_say(t, reused) == (colors[i] not in colors[7:9])
+        accepted += colors[i] not in colors[7:9]
+    assert rejected == 18 and accepted > 0
+
+
+@settings(max_examples=200)
+@given(decomposition_trees(max_leaf_n=6), st.data())
+def test_strong_coloring_check_agrees_with_the_realized_graph(t, data):
+    colors = list(strong_coloring(t).colors)
+    assert _both_say(t, colors)
+    if not colors:
+        return
+    index = st.integers(0, len(colors) - 1)
+    for _ in range(3):
+        i, j = data.draw(index), data.draw(index)
+        mutant = colors.copy()
+        kind = data.draw(st.sampled_from(["copy", "swap", "fresh"]))
+        if kind == "copy":
+            mutant[i] = colors[j]
+        elif kind == "swap":
+            mutant[i], mutant[j] = colors[j], colors[i]
+        else:
+            mutant[i] = data.draw(st.integers(0, len(colors)))
+        _both_say(t, mutant)
+
+
+def test_strong_coloring_check_wants_one_color_per_edge():
+    t = parse_decomposition(JOIN_K2_K2)
+    with pytest.raises(GraphError, match="5 entries for 6 edges"):
+        is_strong_edge_coloring_in(t, StrongEdgeColoring((0, 1, 2, 3, 4)))
+
+
+def test_strong_coloring_check_peaks_near_the_coloring():
+    """The 10^4 union chain has m = 176,088: the check keeps the colors at
+    each vertex, 2m references, and builds no edge list or graph."""
+    t = _bench_instance(10**4, 512, random.Random(0))
+    coloring = strong_coloring(t)
+    tracemalloc.start()
+    try:
+        verdict = is_strong_edge_coloring_in(t, coloring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict is True
+    assert peak <= 16 << 20
