@@ -2,41 +2,39 @@
 """Randomized cross-verification sweep.
 
 Generates seeded random decomposition trees, keeps the ones whose realized
-size is small enough for the exact solvers, and checks the two linear fast
-paths against brute force on the squared linegraph:
-
-  sci(t)      vs  exact chromatic number
-  im(t)       vs  exact maximum independent set (witness re-verified)
-
-It also checks strong_coloring(t) with both coloring checkers, on the
-decomposition and on the realized graph.  Prints a summary and exits 1 on
-any disagreement, bad witness or bad coloring.
+size is small enough for the exact solvers, and runs `strongedge oracle
+--json` in-process on each one's document, which checks every certificate
+and compares sci and im against brute force.  Exit code 0 agrees, 1 with
+a JSON report is a disagreement, and 1 without one, or any other code
+(3: inconclusive), is a failed check.  Prints a summary and exits 1 on
+any disagreement or failed check.
 """
 
 import argparse
+import contextlib
+import io
+import json
+import sys
 import time
 
-from strongedge import (
-    OracleReport,
-    exact_chromatic_number,
-    exact_max_independent_set,
-    im,
-    is_induced_matching,
-    is_strong_edge_coloring,
-    is_strong_edge_coloring_in,
-    random_tree_cograph,
-    realize,
-    sci,
-    square_of_linegraph,
-    strong_coloring,
-)
-from strongedge.oracle import timed
+from strongedge import random_tree_cograph, serialize_decomposition
+from strongedge.cli import main as strongedge_main
+
+
+def oracle(text: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of `strongedge oracle --json` on text."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = strongedge_main(["oracle", "--json"])
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
 
 
 def run(args: argparse.Namespace) -> int:
-    reports: list[OracleReport] = []
-    bad_witness = 0
-    bad_coloring = 0
+    comparisons = disagreements = failed = 0
     seed = args.seed
     kept = 0
     t0 = time.perf_counter()
@@ -46,44 +44,26 @@ def run(args: argparse.Namespace) -> int:
         if not 1 <= tree.n <= args.max_n:
             continue
         kept += 1
-        g = realize(tree)
-        sq = square_of_linegraph(g)
-        desc = f"seed={seed - 1}(n={g.n},m={g.m})"
-
-        chi, t_chi = timed(exact_chromatic_number, sq)
-        reports.append(OracleReport.compare(
-            desc, "strong chromatic index", sci(tree).value, chi, t_chi))
-
-        mis, t_mis = timed(exact_max_independent_set, sq)
-        result = im(tree)
-        reports.append(OracleReport.compare(
-            desc, "maximum induced matching", result.value, mis, t_mis))
-        if len(result.witness) != result.value or not is_induced_matching(
-            g, list(result.witness)
-        ):
-            bad_witness += 1
-            print(f"BAD WITNESS {desc}: {result.witness}")
-        coloring = strong_coloring(tree)
-        if not (
-            is_strong_edge_coloring_in(tree, coloring) and is_strong_edge_coloring(g, coloring)
-        ):
-            bad_coloring += 1
-            print(f"BAD COLORING {desc}: {coloring.colors}")
-
-    disagreements = [r for r in reports if not r.agree]
-    for r in disagreements:
-        print(f"DISAGREE {r.instance} {r.prop}: "
-              f"fast={r.fast_value} oracle={r.oracle_value}")
-    if args.verbose:
-        for r in reports:
-            print(f"{r.instance} {r.prop}: fast={r.fast_value} "
-                  f"oracle={r.oracle_value} {r.verdict} ({r.elapsed:.3f}s)")
+        desc = f"seed={seed - 1}(n={tree.n},m={tree.m})"
+        code, out, err = oracle(serialize_decomposition(tree))
+        if code not in (0, 1) or not out:
+            failed += 1
+            print(f"FAILED {desc}: exit {code}: {err.strip()}")
+            continue
+        for r in json.loads(out)["reports"]:
+            comparisons += 1
+            line = (f"{desc} {r['prop']}: fast={r['fast_value']} "
+                    f"oracle={r['oracle_value']}")
+            if r["verdict"] != "agree":
+                disagreements += 1
+                print(f"DISAGREE {line}")
+            if args.verbose:
+                print(f"{line} {r['verdict']} ({r['elapsed']:.3f}s)")
 
     elapsed = time.perf_counter() - t0
-    print(f"{kept} instances, {len(reports)} comparisons, "
-          f"{len(disagreements)} disagreements, {bad_witness} bad witnesses, "
-          f"{bad_coloring} bad colorings ({elapsed:.1f}s)")
-    return 0 if not disagreements and bad_witness == 0 and bad_coloring == 0 else 1
+    print(f"{kept} instances, {comparisons} comparisons, "
+          f"{disagreements} disagreements, {failed} failed checks ({elapsed:.1f}s)")
+    return 0 if disagreements == 0 and failed == 0 else 1
 
 
 def main() -> int:

@@ -26,7 +26,7 @@ from .decomposition import (
 )
 from .graph import (
     GraphError,
-    is_induced_matching,  # unused here; bench/spans.py traces it by this name
+    is_induced_matching,
     is_strong_edge_coloring,
 )
 from .induced_matching import im
@@ -177,18 +177,25 @@ def _oracle_decomposition(text: str, budget: int | None) -> list[OracleReport]:
     sq = square_of_linegraph(g)
     desc = f"decomposition(n={g.n},m={g.m})"
     coloring = strong_coloring(tree)
-    # both verifiers must accept, so the oracle keeps them in agreement
+    # each certificate must pass both of its checkers, which keeps them in agreement
     if not (
         is_strong_edge_coloring_in(tree, coloring) and is_strong_edge_coloring(g, coloring)
     ):
         raise _VerificationFailed("coloring is not a strong edge coloring")
+    matching = im(tree)
+    if len(matching.witness) != matching.value:
+        raise _VerificationFailed("witness size does not match the value")
+    if not (
+        is_induced_matching_in(tree, matching.witness)
+        and is_induced_matching(g, matching.witness)
+    ):
+        raise _VerificationFailed("witness is not an induced matching")
     fast_sci = sci(tree).value
     chi, t_chi = timed(exact_chromatic_number, sq, budget)
-    fast_im = im(tree).value
     mis, t_mis = timed(exact_max_independent_set, sq, budget)
     return [
         OracleReport.compare(desc, "strong chromatic index", fast_sci, chi, t_chi),
-        OracleReport.compare(desc, "maximum induced matching", fast_im, mis, t_mis),
+        OracleReport.compare(desc, "maximum induced matching", matching.value, mis, t_mis),
     ]
 
 
@@ -213,10 +220,7 @@ def cmd_oracle(args) -> int:
     if args.budget < 1:
         return _input_error(f"--budget must be >= 1, got {args.budget}")
     text = _read_input(args.input)
-    mode = args.mode
-    if mode == "auto":
-        stripped = text.lstrip()
-        mode = "decomp" if stripped.startswith("{") else "perm"
+    mode = "decomp" if text.lstrip().startswith("{") else "perm"
     if mode == "decomp":
         reports = _oracle_decomposition(text, args.budget)
     else:
@@ -289,10 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_perm, color=True)
     p_perm.set_defaults(func=cmd_perm)
 
-    p_or = sub.add_parser("oracle", help="compare fast paths with exact brute force")
+    p_or = sub.add_parser("oracle", help="check every certificate and compare with brute "
+                          "force; input starting with '{' is a decomposition")
     p_or.add_argument("input", nargs="?", default="-")
     p_or.add_argument("--json", action="store_true")
-    p_or.add_argument("--mode", choices=["auto", "decomp", "perm"], default="auto")
     p_or.add_argument("--budget", type=int, default=10**6,
                       help="search node budget for the exact solvers")
     p_or.set_defaults(func=cmd_oracle)

@@ -232,80 +232,95 @@ def parse_decomposition(text: str) -> DecompositionTree:
     return DecompositionTree(_node_from_obj(obj))
 
 
-def _node_from_obj(obj, path: str = "$") -> DecompNode:
+def _node_from_obj(obj) -> DecompNode:
     # Each child is popped off its parent's children list as it is pushed,
     # and an internal node's entry keeps only its class and child count,
     # so every JSON node is freed once it is converted: the document
-    # shrinks as the tree grows.  An entry is (object, path, 0) for a node
-    # to convert, or (JoinNode or UnionNode, path, k) for one whose k
-    # converted children are the last k results.
+    # shrinks as the tree grows.  An entry is (object, i, 0) for a node to
+    # convert, i its index among its parent's children (-1 at the root), or
+    # (JoinNode or UnionNode, i, k) for one whose k converted children are
+    # the last k results.  The entries with a k are the ancestors of the
+    # node at hand, so an error's JSON path is built from their indices.
     results: list[DecompNode] = []
-    stack: list[tuple] = [(obj, path, 0)]
-    while stack:
-        o, p, k = stack.pop()
-        if k:
-            children = results[len(results) - k :]
-            del results[len(results) - k :]
-            node: DecompNode = o(children[0], children[1])
-            for extra in children[2:]:
-                node = o(node, extra)
-            results.append(node)
-            continue
-        if not isinstance(o, dict):
-            raise DecompositionError(f"{p}: expected an object")
-        kind = o.get("type")
-        if kind in ("tree", "cotree"):
-            results.append(_leaf_from_obj(o, p))
-        elif kind in ("join", "union"):
-            extra_keys = set(o) - {"type", "children"}
-            if extra_keys:
-                raise _unexpected_keys(p, extra_keys)
-            children = o.get("children")
-            if not isinstance(children, list) or len(children) < 2:
-                raise DecompositionError(
-                    f"{p}: 'children' must be a list of at least two nodes"
-                )
-            stack.append((JoinNode if kind == "join" else UnionNode, p, len(children)))
-            for i in range(len(children) - 1, -1, -1):
-                stack.append((children.pop(), f"{p}.children[{i}]", 0))
-        elif kind is None:
-            raise DecompositionError(f"{p}: missing 'type'")
-        else:
-            raise DecompositionError(f"{p}: unknown node type {clipped_repr(kind)}")
+    stack: list[tuple] = [(obj, -1, 0)]
+    try:
+        while stack:
+            o, i, k = stack.pop()
+            if k:
+                children = results[len(results) - k :]
+                del results[len(results) - k :]
+                node: DecompNode = o(children[0], children[1])
+                for extra in children[2:]:
+                    node = o(node, extra)
+                results.append(node)
+                continue
+            if not isinstance(o, dict):
+                raise DecompositionError("expected an object")
+            kind = o.get("type")
+            if kind in ("tree", "cotree"):
+                results.append(_leaf_from_obj(o))
+            elif kind in ("join", "union"):
+                extra_keys = set(o) - {"type", "children"}
+                if extra_keys:
+                    raise _unexpected_keys(extra_keys)
+                children = o.get("children")
+                if not isinstance(children, list) or len(children) < 2:
+                    raise DecompositionError(
+                        "'children' must be a list of at least two nodes"
+                    )
+                stack.append((JoinNode if kind == "join" else UnionNode, i, len(children)))
+                for j in range(len(children) - 1, -1, -1):
+                    stack.append((children.pop(), j, 0))
+            elif kind is None:
+                raise DecompositionError("missing 'type'")
+            else:
+                raise DecompositionError(f"unknown node type {clipped_repr(kind)}")
+    except DecompositionError as exc:
+        # the message is about the node, or about a part of it if it starts
+        # with "."; a path that would push the CLI's "error: " line past 200
+        # bytes is cut in the middle
+        message = str(exc) if str(exc).startswith(".") else f": {exc}"
+        indices = [j for _, j, k in stack if k] + [i]
+        path = "$" + "".join(f".children[{j}]" for j in indices if j >= 0)
+        room = max(192 - len(message.encode()), 5)
+        if len(path) > room:
+            half = (room - 3) // 2
+            path = path[:half] + "..." + path[-half:]
+        raise DecompositionError(path + message) from None
     return results[0]
 
 
-def _unexpected_keys(path: str, extra: set) -> DecompositionError:
+def _unexpected_keys(extra: set) -> DecompositionError:
     """The error naming a node's unexpected keys; a long list is cut short
     and given with its count."""
     shown = clipped_repr(sorted(extra))
     if shown.endswith("..."):
         shown += f" ({len(extra)} keys)"
-    return DecompositionError(f"{path}: unexpected keys {shown}")
+    return DecompositionError(f"unexpected keys {shown}")
 
 
-def _leaf_from_obj(obj: dict, path: str) -> DecompNode:
+def _leaf_from_obj(obj: dict) -> DecompNode:
     """Read a leaf in one pass over its pairs.  JSON has no int subclass
     but bool, so ``type(x) is int`` is the integer check.  n - 1 pairs in
     range that connect n vertices contain no loop and no repeat, so the
     leaf's tree check covers both and the accepted path needs no duplicate
     set.  A rejected leaf is read again by `build_graph`, whose error names
-    the first bad pair."""
+    the first bad pair.  Its errors leave out the leaf's JSON path."""
     extra = set(obj) - {"type", "n", "edges"}
     if extra:
-        raise _unexpected_keys(path, extra)
+        raise _unexpected_keys(extra)
     n = obj.get("n")
     if type(n) is not int or n < 1:
-        raise DecompositionError(f"{path}: 'n' must be a positive integer")
+        raise DecompositionError("'n' must be a positive integer")
     edges = obj.get("edges")
     if not isinstance(edges, list):
-        raise DecompositionError(f"{path}: 'edges' must be a list of pairs")
+        raise DecompositionError("'edges' must be a list of pairs")
     pairs: list[tuple[int, int]] = []
     in_range = True
     for i, e in enumerate(edges):
         if not (type(e) is list and len(e) == 2
                 and type(e[0]) is int and type(e[1]) is int):
-            raise DecompositionError(f"{path}.edges[{i}]: expected a pair of integers")
+            raise DecompositionError(f".edges[{i}]: expected a pair of integers")
         u, v = e
         if u > v:
             u, v = v, u
@@ -315,7 +330,7 @@ def _leaf_from_obj(obj: dict, path: str) -> DecompNode:
     # Checked before any graph is built, which allocates n adjacency
     # lists: an edgeless leaf with a huge n is a few bytes of document.
     if len(pairs) != n - 1:
-        raise DecompositionError(f"{path}: leaf graph is not a tree")
+        raise DecompositionError("leaf graph is not a tree")
     leaf = TreeLeaf if obj["type"] == "tree" else CotreeLeaf
     if in_range:
         try:
@@ -325,8 +340,8 @@ def _leaf_from_obj(obj: dict, path: str) -> DecompNode:
     try:
         build_graph(n, edges)
     except GraphError as exc:
-        raise DecompositionError(f"{path}: {exc}") from None
-    raise DecompositionError(f"{path}: leaf graph is not a tree")
+        raise DecompositionError(str(exc)) from None
+    raise DecompositionError("leaf graph is not a tree")
 
 
 def serialize_decomposition(tree: DecompositionTree) -> str:

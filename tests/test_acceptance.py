@@ -285,10 +285,8 @@ def test_criterion_08_permutation_coloring():
         pi = list(range(rng.randint(1, 300)))
         rng.shuffle(pi)
         d = PermutationDiagram(len(pi), tuple(pi))
-        if not is_strong_edge_coloring(
-            permutation_graph(d),
-            strong_color_permutation(d, permutation_graph(d)),
-        ):
+        g = permutation_graph(d)
+        if not is_strong_edge_coloring(g, strong_color_permutation(d, g)):
             invalid += 1
 
     suboptimal = exhaustive = 0
@@ -296,10 +294,9 @@ def test_criterion_08_permutation_coloring():
         for pi in itertools.permutations(range(n)):
             exhaustive += 1
             d = PermutationDiagram(n, pi)
-            chi = exact_chromatic_number(
-                square_of_linegraph(permutation_graph(d))
-            )
-            coloring = strong_color_permutation(d, permutation_graph(d))
+            g = permutation_graph(d)
+            chi = exact_chromatic_number(square_of_linegraph(g))
+            coloring = strong_color_permutation(d, g)
             if coloring.palette_size != chi:
                 suboptimal += 1
     rng = random.Random(88)
@@ -308,10 +305,9 @@ def test_criterion_08_permutation_coloring():
             pi = list(range(n))
             rng.shuffle(pi)
             d = PermutationDiagram(n, tuple(pi))
-            chi = exact_chromatic_number(
-                square_of_linegraph(permutation_graph(d))
-            )
-            coloring = strong_color_permutation(d, permutation_graph(d))
+            g = permutation_graph(d)
+            chi = exact_chromatic_number(square_of_linegraph(g))
+            coloring = strong_color_permutation(d, g)
             if coloring.palette_size != chi:
                 suboptimal += 1
 

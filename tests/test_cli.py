@@ -16,6 +16,7 @@ import strongedge
 from strongedge import (
     StrongEdgeColoring,
     cli,
+    im,
     oracle,
     parse_decomposition,
     parse_permutation,
@@ -204,6 +205,23 @@ def test_echoed_input_is_cut_short_in_errors(command, text, monkeypatch, capsys)
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert len(captured.err.encode()) <= 200
+
+
+def test_deep_error_path_is_cut_short(monkeypatch, capsys):
+    # a union chain 450 levels deep with an unexpected key on its deepest
+    # leaf; its full JSON path alone is over 5,000 bytes
+    depth = 450
+    leaf = '{"type":"tree","n":2,"edges":[[0,1]]}'
+    text = (
+        '{"type":"union","children":[' + leaf + ","
+    ) * depth + '{"type":"tree","n":1,"edges":[],"bad":0}' + "]}" * depth
+    feed(monkeypatch, text)
+    assert main(["sci"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: $.children[1].children[1]")
+    assert captured.err.endswith(".children[1]: unexpected keys ['bad']\n")
+    assert captured.err.count("\n") == 1 and len(captured.err.encode()) <= 200
 
 
 @given(
@@ -495,7 +513,7 @@ def test_oracle_failed_permutation_verification_exits_one(monkeypatch, capsys):
         "strongedge.cli.is_strong_edge_coloring", lambda g, c: False
     )
     feed(monkeypatch, "2 0 3 1")
-    assert main(["oracle", "--mode", "perm"]) == 1
+    assert main(["oracle"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("verification failed: ")
@@ -505,10 +523,43 @@ def test_oracle_failed_permutation_verification_exits_one(monkeypatch, capsys):
 def test_oracle_rejects_a_coloring_either_checker_rejects(monkeypatch, capsys):
     monkeypatch.setattr("strongedge.cli.is_strong_edge_coloring_in", lambda tree, c: False)
     feed(monkeypatch, JOIN_K2_K2)
-    assert main(["oracle", "--mode", "decomp"]) == 1
+    assert main(["oracle"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "verification failed: coloring is not a strong edge coloring\n"
+
+
+def _shortened_im(tree):
+    result = im(tree)
+    return dataclasses.replace(result, witness=result.witness[:-1])
+
+
+@pytest.mark.parametrize(
+    "target, replacement",
+    [
+        ("is_induced_matching_in", lambda tree, pairs: False),
+        ("is_induced_matching", lambda g, pairs: False),
+        ("im", _shortened_im),
+    ],
+    ids=["decomposition-checker", "graph-checker", "short-witness"],
+)
+def test_oracle_rejects_a_witness_either_checker_or_its_size_rejects(
+    target, replacement, monkeypatch, capsys
+):
+    monkeypatch.setattr(f"strongedge.cli.{target}", replacement)
+    feed(monkeypatch, UNION_P5_P5)
+    assert main(["oracle"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verification failed: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_oracle_takes_its_mode_from_the_input_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--mode", "decomp"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["sci", "im"])

@@ -1,6 +1,7 @@
 """Smoke tests: each experiment script runs to completion on tiny inputs,
 and the benchmark's span targets still exist."""
 
+import argparse
 import importlib.util
 import os
 import subprocess
@@ -43,3 +44,24 @@ def test_bench_span_targets_exist():
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     spans.Instrumentation(spans.Tracer())
+
+
+def test_oracle_sweep_counts_a_rejected_certificate_as_a_failure(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "oracle_sweep", ROOT / "scripts" / "oracle_sweep.py"
+    )
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    monkeypatch.setattr("strongedge.cli.is_induced_matching_in", lambda tree, pairs: False)
+    args = argparse.Namespace(count=3, seed=0, max_n=8, depth=4, leaf_size=6, verbose=False)
+    assert sweep.run(args) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    assert all(
+        line.startswith("FAILED ")
+        and line.endswith("verification failed: witness is not an induced matching")
+        for line in lines[:3]
+    )
+    assert lines[3].startswith(
+        "3 instances, 0 comparisons, 0 disagreements, 3 failed checks"
+    )
