@@ -22,6 +22,7 @@ from strongedge import (
     PermutationDiagram,
     exact_chromatic_number,
     greedy_trapezoid_coloring,
+    inversions,
     permutation_graph,
     square_of_linegraph,
     trapezoid_model,
@@ -49,7 +50,7 @@ def evaluate(pi):
     traps = trapezoid_model(d, g)
     chi = exact_chromatic_number(square_of_linegraph(g))
     ff = first_fit_palette(traps)
-    tf = greedy_trapezoid_coloring(d.pi, g.edges).palette_size
+    tf = greedy_trapezoid_coloring(d.pi, inversions(d.pi)).palette_size
     return chi, ff, tf
 
 

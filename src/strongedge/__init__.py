@@ -53,6 +53,7 @@ from .permutation import (
     PermutationError,
     Trapezoid,
     greedy_trapezoid_coloring,
+    inversions,
     is_chain_coloring,
     parse_permutation,
     permutation_graph,
@@ -89,6 +90,7 @@ __all__ = [
     "greedy_trapezoid_coloring",
     "has_induced_cycle_at_least",
     "im",
+    "inversions",
     "is_chain_coloring",
     "is_chordal",
     "is_clique",

@@ -40,6 +40,7 @@ from .oracle import (
 )
 from .permutation import (
     PermutationError,
+    inversions,
     is_chain_coloring,
     parse_permutation,
     permutation_graph,
@@ -60,22 +61,35 @@ def _read_input(path: str) -> str:
 _ROW_BLOCK = 2048
 
 
-def _print_coloring(out: dict | None, edges, colors) -> None:
-    """Print the coloring as the JSON list of ``{"edge": [u, v], "color":
-    c}`` rows, byte for byte what `json.dumps` gives, on a line of its own
-    or, given ``out``, as the last key of ``out``'s JSON object.  The rows
-    are formatted and written a block at a time, so no list of them is
-    built."""
+def _print_coloring(out: dict | None, rows) -> None:
+    """Print the coloring's rows as a JSON list, byte for byte what
+    `json.dumps` gives for the row dicts, on a line of its own or, given
+    ``out``, as the last key of ``out``'s JSON object.  The rows are
+    taken and written a block at a time, so no list of them is built."""
     write = sys.stdout.write
     write("[" if out is None else json.dumps(out)[:-1] + ', "coloring": [')
-    rows = zip(edges, colors)
     sep = ""
-    while block := [
-        f'{{"edge": [{u}, {v}], "color": {c}}}' for (u, v), c in islice(rows, _ROW_BLOCK)
-    ]:
+    while block := list(islice(rows, _ROW_BLOCK)):
         write(sep + ", ".join(block))
         sep = ", "
     write("]\n" if out is None else "]}\n")
+
+
+def _rows(edges, colors):
+    """The ``{"edge": [u, v], "color": c}`` rows of a coloring, formatted
+    as `json.dumps` writes them."""
+    return (f'{{"edge": [{u}, {v}], "color": {c}}}' for (u, v), c in zip(edges, colors))
+
+
+def _inversion_rows(later, colors):
+    """`_rows` of the edges that `inversions` lists, read straight from
+    the lists with no tuple per edge."""
+    color = iter(colors)
+    return (
+        f'{{"edge": [{u}, {v}], "color": {next(color)}}}'
+        for u, vs in enumerate(later)
+        for v in vs
+    )
 
 
 class _VerificationFailed(Exception):
@@ -104,13 +118,13 @@ def cmd_sci(args) -> int:
         out["verified"] = True
     if args.json:
         if args.color:
-            _print_coloring(out, tree.edges(), coloring.colors)
+            _print_coloring(out, _rows(tree.edges(), coloring.colors))
         else:
             print(json.dumps(out))
     else:
         print(f"strong chromatic index: {result.value}")
         if args.color:
-            _print_coloring(None, tree.edges(), coloring.colors)
+            _print_coloring(None, _rows(tree.edges(), coloring.colors))
         if args.verify:
             print("coloring verified: valid and palette matches the index")
     return 0
@@ -119,13 +133,12 @@ def cmd_sci(args) -> int:
 def cmd_im(args) -> int:
     tree = parse_decomposition(_read_input(args.input))
     result = im(tree)
-    witness = [list(e) for e in result.witness]
     out = {
         "command": "im",
         "n": tree.n,
         "m": tree.m,
         "value": result.value,
-        "witness": witness,
+        "witness": result.witness,
     }
     if args.verify:
         if len(result.witness) != result.value:
@@ -137,7 +150,7 @@ def cmd_im(args) -> int:
         print(json.dumps(out))
     else:
         print(f"maximum induced matching: {result.value}")
-        print(f"witness: {json.dumps(witness)}")
+        print(f"witness: {json.dumps(result.witness)}")
         if args.verify:
             print("witness verified: induced matching of the stated size")
     return 0
@@ -145,27 +158,27 @@ def cmd_im(args) -> int:
 
 def cmd_perm(args) -> int:
     diagram = parse_permutation(_read_input(args.input))
-    g = permutation_graph(diagram)
-    coloring = strong_color_permutation(diagram, g)
+    later = inversions(diagram.pi)
+    coloring = strong_color_permutation(diagram, later)
     out = {
         "command": "perm",
-        "n": g.n,
-        "m": g.m,
+        "n": diagram.n,
+        "m": len(coloring),
         "palette": coloring.palette_size,
     }
     if args.verify:
-        if not is_chain_coloring(diagram, g, coloring):
+        if not is_chain_coloring(diagram, later, coloring):
             raise _VerificationFailed("coloring is not a strong edge coloring")
         out["verified"] = True
     if args.json:
         if args.color:
-            _print_coloring(out, g.edges, coloring.colors)
+            _print_coloring(out, _inversion_rows(later, coloring.colors))
         else:
             print(json.dumps(out))
     else:
         print(f"palette size: {coloring.palette_size}")
         if args.color:
-            _print_coloring(None, g.edges, coloring.colors)
+            _print_coloring(None, _inversion_rows(later, coloring.colors))
         if args.verify:
             print("coloring verified: valid strong edge coloring")
     return 0
@@ -201,13 +214,14 @@ def _oracle_decomposition(text: str, budget: int | None) -> list[OracleReport]:
 
 def _oracle_permutation(text: str, budget: int | None) -> list[OracleReport]:
     diagram = parse_permutation(text)
+    later = inversions(diagram.pi)
     g = permutation_graph(diagram)
     sq = square_of_linegraph(g)
     desc = f"permutation(n={g.n},m={g.m})"
-    coloring = strong_color_permutation(diagram, g)
+    coloring = strong_color_permutation(diagram, later)
     # both verifiers must accept, so the oracle keeps them in agreement
     if not (
-        is_chain_coloring(diagram, g, coloring) and is_strong_edge_coloring(g, coloring)
+        is_chain_coloring(diagram, later, coloring) and is_strong_edge_coloring(g, coloring)
     ):
         raise _VerificationFailed("greedy coloring is not a strong edge coloring")
     chi, t_chi = timed(exact_chromatic_number, sq, budget)

@@ -12,10 +12,15 @@ class GraphError(ValueError):
 
 
 def clipped_repr(value, limit: int = 60) -> str:
-    """``repr(value)``, cut after `limit` characters and then ended with
-    "...": an error message that quotes outside input stays one short line."""
+    """``repr(value)``, cut after `limit` bytes of UTF-8 at a character
+    boundary and then ended with "...": an error message that quotes
+    outside input stays one short line, whatever its characters."""
     text = repr(value)
-    return text if len(text) <= limit else text[:limit] + "..."
+    data = text.encode()
+    if len(data) <= limit:
+        return text
+    # a character the cut splits is dropped whole
+    return data[:limit].decode(errors="ignore") + "..."
 
 
 class Graph:
@@ -118,13 +123,24 @@ class StrongEdgeColoring:
     palette_size: int = field(default=-1)
 
     def __post_init__(self):
-        used = set(self.colors)
-        k = len(used)
+        colors = self.colors
+        k, gaps = 0, False
+        if colors:
+            hi = max(colors)
+            if min(colors) < 0 or hi >= len(colors):
+                # a gap for sure; the distinct count feeds only the palette message
+                k, gaps = len(set(colors)), True
+            else:
+                seen = bytearray(hi + 1)
+                for c in colors:
+                    seen[c] = 1
+                k = seen.count(1)
+                gaps = k != hi + 1
         if self.palette_size == -1:
             object.__setattr__(self, "palette_size", k)
         if self.palette_size != k:
             raise GraphError(f"palette_size {self.palette_size} != {k} distinct colors")
-        if used and used != set(range(k)):
+        if gaps:
             raise GraphError("colors must be exactly 0..k-1 with no gaps")
 
     @classmethod

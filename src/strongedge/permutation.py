@@ -6,10 +6,11 @@ conflict (are adjacent in the squared linegraph) exactly when these
 trapezoids intersect, that is unless one lies strictly left of the other
 on both lines.  So a color class is strong iff its trapezoids form a chain
 of that order.  The sweep and the verifier both read the corners straight
-from pi and the edge list, in increasing (top_lo, bot_lo) = (u, pi[v]):
-the sweep colors the squared linegraph with a tightest-fit class choice,
-which empirically uses the minimum number of colors, and
-`is_chain_coloring` checks each class is a chain in one pass.
+from pi and the inversion lists of `inversions`, which hold the edges
+grouped by u: the sweep colors the squared linegraph in increasing
+(top_lo, bot_lo) = (u, pi[v]) with a tightest-fit class choice, which
+empirically uses the minimum number of colors, and `is_chain_coloring`
+checks each class is a chain in one pass.
 `Trapezoid` and `trapezoid_model` spell the model out for the tests that
 check it against the squared linegraph.
 """
@@ -18,7 +19,8 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from collections.abc import Sequence
+from collections import deque
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,6 +31,7 @@ __all__ = [
     "PermutationDiagram",
     "Trapezoid",
     "parse_permutation",
+    "inversions",
     "permutation_graph",
     "trapezoid_model",
     "trapezoids_intersect",
@@ -93,37 +96,30 @@ def parse_permutation(text: str) -> PermutationDiagram:
     return PermutationDiagram(len(values), tuple(values))
 
 
-def permutation_graph(d: PermutationDiagram) -> Graph:
-    """Intersection graph of the diagram's segments: i ~ j iff the pair is
-    inverted by pi.  Edges are listed in lexicographic order.
+def inversions(pi: Sequence[int]) -> list[list[int]]:
+    """The inverted pairs of pi as one list per position: ``later[u]``
+    holds the v > u with pi[v] < pi[u], in increasing order.  These are
+    the edges (u, v) of the permutation graph, grouped by u.
 
-    Insertion sort enumerates the inversions in O(n + m): position j enters
-    a row of the earlier positions kept sorted by pi value, from the right
-    end, and every position it passes is one edge (i, j).
+    Insertion sort enumerates them in O(n + m): position j enters a row of
+    the earlier positions kept sorted by pi value, from the right end, and
+    every position it passes is one edge (i, j).
     """
-    pi = d.pi
     row: list[int] = []
-    later: list[list[int]] = [[] for _ in range(d.n)]
+    later: list[list[int]] = [[] for _ in range(len(pi))]
     for j, v in enumerate(pi):
         k = len(row)
         while k and pi[row[k - 1]] > v:
             k -= 1
             later[row[k]].append(j)
         row.insert(k, j)
-    return Graph(d.n, [(i, j) for i, js in enumerate(later) for j in js])
+    return later
 
 
-def _count_inversions(pi: tuple[int, ...]) -> int:
-    """Number of inverted pairs of pi.  Each value is inserted into a sorted
-    row past the larger values before it, one per inversion, so the cost
-    is O(n log n) comparisons plus O(m) entries moved."""
-    row: list[int] = []
-    count = 0
-    for v in pi:
-        k = bisect.bisect(row, v)
-        count += len(row) - k
-        row.insert(k, v)
-    return count
+def permutation_graph(d: PermutationDiagram) -> Graph:
+    """Intersection graph of the diagram's segments: i ~ j iff the pair is
+    inverted by pi.  Edges are listed in lexicographic order."""
+    return Graph(d.n, [(u, v) for u, vs in enumerate(inversions(d.pi)) for v in vs])
 
 
 class Trapezoid(NamedTuple):
@@ -147,16 +143,48 @@ def trapezoids_intersect(a: Trapezoid, b: Trapezoid) -> bool:
     return True
 
 
+def _are_inversions(pi: Sequence[int], later: Sequence[Sequence[int]]) -> bool:
+    """True iff later is inversions(pi), with no second build: one list
+    per position, each strictly increasing, whose every entry v > u is
+    inverted with u, and none missing.
+
+    None is missing by counting.  In the inversion graph out(u) - in(u) =
+    pi[u] - u, where out(u) counts the smaller values after u and in(u)
+    the larger ones before it: the values below pi[u] number pi[u], the
+    positions before u number u, and the smaller values before u count in
+    both.  If the listed pairs are inversions and keep that balance at
+    every u, the missing ones have out = in everywhere; as each points to
+    a larger position, the smallest vertex with one would have out > 0 =
+    in, so there is none.  A vertex's in-degree comes from the lists
+    before it, so it is complete when the vertex is reached.
+    """
+    n = len(pi)
+    if len(later) != n:
+        return False
+    into = [0] * n
+    for u, vs in enumerate(later):
+        top = pi[u]
+        if len(vs) != top - u + into[u]:
+            return False
+        prev = u
+        for v in vs:
+            if not prev < v < n or pi[v] >= top:
+                return False
+            into[v] += 1
+            prev = v
+    return True
+
+
 def _is_inversion_graph(d: PermutationDiagram, g: Graph) -> bool:
-    """True iff g is permutation_graph(d), with no second build: a simple
-    graph on d.n vertices whose every edge is an inversion, and which has
-    as many edges as pi has inversions, is the inversion graph."""
-    pi = d.pi
-    return (
-        g.n == d.n
-        and all(u < v and pi[u] > pi[v] for u, v in g.edges)
-        and g.m == _count_inversions(pi)
-    )
+    """True iff g is permutation_graph(d), with its edges in any order."""
+    if g.n != d.n:
+        return False
+    later: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        later[u].append(v)
+    for vs in later:
+        vs.sort()
+    return _are_inversions(d.pi, later)
 
 
 def trapezoid_model(d: PermutationDiagram, g: Graph) -> list[Trapezoid]:
@@ -172,18 +200,18 @@ def trapezoid_model(d: PermutationDiagram, g: Graph) -> list[Trapezoid]:
 
 
 def greedy_trapezoid_coloring(
-    pi: Sequence[int], edges: Sequence[tuple[int, int]]
+    pi: Sequence[int], later: Sequence[Sequence[int]]
 ) -> StrongEdgeColoring:
-    """Tightest-fit sweep over the trapezoids of the inversions `edges` of
-    `pi`, in O(n + m log m).
+    """Tightest-fit sweep over the trapezoids of the inversions `later` =
+    inversions(pi), in O(n + m log n).  Colors follow the edge order (u, v)
+    of `later`, relabeled to first-use order.
 
     Edge (u, v) has top_lo = u, top_hi = v, bot_lo = pi[v] and bot_hi =
-    pi[u].  Edges are processed in increasing (top_lo, bot_lo), which is
-    unique per edge, so the sort key is the integer u * n + pi[v].  Each
-    goes to a color class it is disjoint from, choosing among the
-    candidates the class whose frontier reaches furthest on the bottom line
-    (ties to the smallest class index); a fresh class is opened only when
-    none fits.  Per class only the frontier (the last member's right ends)
+    pi[u].  Edges are processed in increasing (top_lo, bot_lo): top vertex
+    by top vertex, each one's partners sorted by pi[v].  Each goes to a
+    color class it is disjoint from, choosing among the candidates the
+    class whose frontier reaches furthest on the bottom line (ties to the
+    smallest class index); a fresh class is opened only when none fits.  Per class only the frontier (the last member's right ends)
     is kept: class members are totally ordered left-to-right on both lines,
     so clearing the frontier clears the whole class, and because top_lo
     never decreases the frontier test is exact, not just sufficient.
@@ -197,22 +225,36 @@ def greedy_trapezoid_coloring(
     by bisection; it holds at most n values, so keeping it sorted costs a
     short memory move per class released or emptied.
 
+    Class ids count in opening order, which sets the tie-break.  Once a top
+    vertex's edges have their classes, their colors are emitted in the
+    order of `later[u]` through one first-use label per class, so the
+    coloring comes out canonical with no relabeling pass.
+
     Picking the smallest class instead (plain first-fit) can exceed the
     clique number, with counterexamples from seven-point diagrams on up.
     The tightest-fit choice never hurts later trapezoids: anything that fits
     a fuller class also fits an emptier one.  Optimality is the tested
     greedy hypothesis; the oracle acceptance tests keep it honest.
     """
+    return StrongEdgeColoring(tuple(_tightest_fit(pi, later)))
+
+
+def _tightest_fit(pi: Sequence[int], later: Sequence[Sequence[int]]) -> Iterator[int]:
+    """The colors of `greedy_trapezoid_coloring`, one per edge in the order
+    of `later`."""
     n = len(pi)
-    keys = [u * n + pi[v] for u, v in edges]
     fbot: list[int] = []
-    waiting: list[list[int]] = [[] for _ in range(n)]
+    label: list[int] = []  # first-use color of each class, -1 before its first use
+    opened: deque[int] = deque()  # ids of the classes opened for the current u
+    waiting: list[list[int] | None] = [[] for _ in range(n)]
     released = 0
     free: dict[int, list[int]] = {}
     free_fbots: list[int] = []
-    colors = [0] * len(edges)
-    for i in sorted(range(len(edges)), key=keys.__getitem__):
-        u, v = edges[i]
+    at = [0] * n  # class of edge (u, v) at v, for the current u
+    by_bottom = pi.__getitem__
+    for u, vs in enumerate(later):
+        if not vs:
+            continue
         while released < u:
             for c in waiting[released]:
                 b = fbot[c]
@@ -221,37 +263,51 @@ def greedy_trapezoid_coloring(
                 else:
                     free[b] = [c]
                     bisect.insort(free_fbots, b)
+            waiting[released] = None
             released += 1
-        k = bisect.bisect_left(free_fbots, pi[v])
-        if k:
-            b = free_fbots[k - 1]
-            c = heapq.heappop(free[b])
-            if not free[b]:
-                del free[b], free_fbots[k - 1]
-            fbot[c] = pi[u]
-        else:
-            c = len(fbot)
-            fbot.append(pi[u])
-        waiting[v].append(c)
-        colors[i] = c
-    return StrongEdgeColoring.from_colors(colors)
+        top = pi[u]
+        for v in sorted(vs, key=by_bottom) if len(vs) > 1 else vs:
+            k = bisect.bisect_left(free_fbots, pi[v])
+            if k:
+                b = free_fbots[k - 1]
+                c = heapq.heappop(free[b])
+                if not free[b]:
+                    del free[b], free_fbots[k - 1]
+                fbot[c] = top
+            else:
+                c = len(fbot)
+                fbot.append(top)
+                label.append(-1)
+                opened.append(c)
+            waiting[v].append(c)
+            at[v] = c
+        # the classes first used here take the next colors, which are the
+        # ids just opened, in order: one int object serves as both
+        for v in vs:
+            c = at[v]
+            if label[c] < 0:
+                label[c] = opened.popleft()
+            yield label[c]
 
 
-def strong_color_permutation(d: PermutationDiagram, g: Graph) -> StrongEdgeColoring:
-    """Strong edge coloring of g = permutation_graph(d) via the trapezoid
-    sweep; g is checked against d, not rebuilt."""
-    if not _is_inversion_graph(d, g):
-        raise PermutationError("graph does not match the permutation diagram")
-    return greedy_trapezoid_coloring(d.pi, g.edges)
+def strong_color_permutation(
+    d: PermutationDiagram, later: Sequence[Sequence[int]]
+) -> StrongEdgeColoring:
+    """Strong edge coloring of the permutation graph of d via the
+    trapezoid sweep; `later` must be inversions(d.pi), which is checked,
+    not rebuilt."""
+    if not _are_inversions(d.pi, later):
+        raise PermutationError("inversion lists do not match the permutation diagram")
+    return greedy_trapezoid_coloring(d.pi, later)
 
 
 def is_chain_coloring(
-    d: PermutationDiagram, g: Graph, coloring: StrongEdgeColoring
+    d: PermutationDiagram, later: Sequence[Sequence[int]], coloring: StrongEdgeColoring
 ) -> bool:
-    """True iff g is permutation_graph(d), its edges come in non-decreasing
-    top_lo, and every color class is a chain of trapezoids, which makes
-    the coloring a strong edge coloring of g; O(n log n + m) time and
-    O(palette) memory beyond the graph check.
+    """True iff `later` is inversions(d.pi), the coloring has one color per
+    edge in the order of `later`, and every color class is a chain of
+    trapezoids, which makes the coloring a strong edge coloring of the
+    permutation graph; O(n + m) time and O(n + palette) memory.
 
     Two edges are not adjacent in the squared linegraph iff their
     trapezoids are disjoint, iff one lies strictly left of the other on
@@ -261,17 +317,20 @@ def is_chain_coloring(
     each member must then lie strictly right of the previous one on both
     lines: of the class's frontier (top_hi, bot_hi).  Members that share
     a top_lo share a vertex and fail the test, as they must.  The check
-    reads only d, g and the colors.
+    reads only d, the lists and the colors.
     """
     colors = coloring.colors
-    if len(colors) != g.m or not _is_inversion_graph(d, g):
+    if len(colors) != sum(map(len, later)) or not _are_inversions(d.pi, later):
         return False
     pi = d.pi
     top = [-1] * coloring.palette_size
     bot = [-1] * coloring.palette_size
-    prev = 0
-    for (u, v), c in zip(g.edges, colors):
-        if u < prev or top[c] >= u or bot[c] >= pi[v]:
-            return False
-        prev, top[c], bot[c] = u, v, pi[u]
+    i = 0
+    for u, vs in enumerate(later):
+        for v in vs:
+            c = colors[i]
+            if top[c] >= u or bot[c] >= pi[v]:
+                return False
+            top[c], bot[c] = v, pi[u]
+            i += 1
     return True

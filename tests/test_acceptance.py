@@ -21,6 +21,7 @@ from strongedge import (
     exact_max_independent_set,
     has_induced_cycle_at_least,
     im,
+    inversions,
     is_chordal,
     is_clique,
     is_induced_matching,
@@ -286,7 +287,8 @@ def test_criterion_08_permutation_coloring():
         rng.shuffle(pi)
         d = PermutationDiagram(len(pi), tuple(pi))
         g = permutation_graph(d)
-        if not is_strong_edge_coloring(g, strong_color_permutation(d, g)):
+        coloring = strong_color_permutation(d, inversions(d.pi))
+        if not is_strong_edge_coloring(g, coloring):
             invalid += 1
 
     suboptimal = exhaustive = 0
@@ -296,7 +298,7 @@ def test_criterion_08_permutation_coloring():
             d = PermutationDiagram(n, pi)
             g = permutation_graph(d)
             chi = exact_chromatic_number(square_of_linegraph(g))
-            coloring = strong_color_permutation(d, g)
+            coloring = strong_color_permutation(d, inversions(d.pi))
             if coloring.palette_size != chi:
                 suboptimal += 1
     rng = random.Random(88)
@@ -307,7 +309,7 @@ def test_criterion_08_permutation_coloring():
             d = PermutationDiagram(n, tuple(pi))
             g = permutation_graph(d)
             chi = exact_chromatic_number(square_of_linegraph(g))
-            coloring = strong_color_permutation(d, g)
+            coloring = strong_color_permutation(d, inversions(d.pi))
             if coloring.palette_size != chi:
                 suboptimal += 1
 

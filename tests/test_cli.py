@@ -17,6 +17,7 @@ from strongedge import (
     StrongEdgeColoring,
     cli,
     im,
+    inversions,
     oracle,
     parse_decomposition,
     parse_permutation,
@@ -207,6 +208,29 @@ def test_echoed_input_is_cut_short_in_errors(command, text, monkeypatch, capsys)
     assert len(captured.err.encode()) <= 200
 
 
+_EMOJI = "\U0001F600"
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("sci", json.dumps({"type": "tree", "n": 1, "edges": [],
+                            **{_EMOJI * 30 + str(i): 0 for i in range(3)}},
+                           ensure_ascii=False)),
+        ("sci", json.dumps({"type": _EMOJI * 100}, ensure_ascii=False)),
+        ("perm", "1 " + _EMOJI * 100),
+    ],
+    ids=["leaf-keys", "type", "token"],
+)
+def test_echoed_non_ascii_input_is_cut_by_bytes(command, text, monkeypatch, capsys):
+    feed(monkeypatch, text)
+    assert main([command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err.encode()) <= 200
+
+
 def test_deep_error_path_is_cut_short(monkeypatch, capsys):
     # a union chain 450 levels deep with an unexpected key on its deepest
     # leaf; its full JSON path alone is over 5,000 bytes
@@ -247,9 +271,9 @@ def test_arbitrary_text_exits_0_or_2_without_a_traceback(argv, text):
 
 
 def test_perm_verify_rejects_a_bad_coloring(monkeypatch, capsys):
-    def merged(d, g):
+    def merged(d, later):
         # edges (0,1), (0,3), (2,3) need three colors; (0,1) and (0,3) share 0
-        assert g.edges == [(0, 1), (0, 3), (2, 3)]
+        assert later == [[1, 3], [], [3], []]
         return StrongEdgeColoring((0, 0, 1))
 
     monkeypatch.setattr("strongedge.cli.strong_color_permutation", merged)
@@ -327,6 +351,23 @@ def test_sci_coloring_rows_are_what_json_dumps_writes(doc, mode, monkeypatch, ca
     assert capsys.readouterr().out == want
 
 
+@pytest.mark.parametrize("doc", _DOCS, ids=["k4", "edgeless", "two-blocks", "gen"])
+@pytest.mark.parametrize("mode", ["json", "text"])
+def test_im_output_is_what_json_dumps_writes(doc, mode, monkeypatch, capsys):
+    tree = parse_decomposition(doc)
+    result = im(tree)
+    witness = [list(e) for e in result.witness]
+    if mode == "json":
+        want = json.dumps({"command": "im", "n": tree.n, "m": tree.m, "value": result.value,
+                           "witness": witness, "verified": True}) + "\n"
+    else:
+        want = (f"maximum induced matching: {result.value}\nwitness: {json.dumps(witness)}\n"
+                "witness verified: induced matching of the stated size\n")
+    feed(monkeypatch, doc)
+    assert main(["im", "--verify"] + (["--json"] if mode == "json" else [])) == 0
+    assert capsys.readouterr().out == want
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 100])
 @pytest.mark.parametrize("mode", ["json", "text"])
 def test_perm_coloring_rows_are_what_json_dumps_writes(n, mode, monkeypatch, capsys):
@@ -335,7 +376,7 @@ def test_perm_coloring_rows_are_what_json_dumps_writes(n, mode, monkeypatch, cap
     text = " ".join(map(str, pi))
     diagram = parse_permutation(text)
     g = permutation_graph(diagram)
-    coloring = strong_color_permutation(diagram, g)
+    coloring = strong_color_permutation(diagram, inversions(diagram.pi))
     rows = _rows(g.edges, coloring.colors)
     if mode == "json":
         want = json.dumps({"command": "perm", "n": n, "m": g.m,
@@ -508,6 +549,29 @@ def test_im_verify_peaks_near_the_tree_size(tmp_path, capsys):
     assert peak < 1 << 20
 
 
+def test_perm_peaks_well_under_its_graph(tmp_path, monkeypatch, capsys):
+    """perm holds the inversion lists, one int object per color and the
+    coloring; it builds no Graph, no per-edge tuple and no sort key."""
+    def unreachable(*args):
+        raise AssertionError("perm built the permutation graph")
+
+    for target in ("strongedge.cli.permutation_graph", "strongedge.permutation.Graph"):
+        monkeypatch.setattr(target, unreachable)
+    pi = list(range(600))
+    random.Random(11).shuffle(pi)
+    path = tmp_path / "pi.txt"
+    path.write_text(" ".join(map(str, pi)), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code = main(["perm", "--json", "--color", "--verify", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["verified"] is True and out["m"] > 90_000
+    assert peak < 128 * out["m"]
+
+
 def test_oracle_failed_permutation_verification_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(
         "strongedge.cli.is_strong_edge_coloring", lambda g, c: False
@@ -629,7 +693,7 @@ def test_public_names_resolve_and_removed_ones_are_gone():
         "chordal_coloring", "lexbfs_order", "is_perfect_elimination_ordering",
     ):
         assert name not in strongedge.__all__ and not hasattr(strongedge, name)
-    assert len(strongedge.__all__) == 47
+    assert len(strongedge.__all__) == 48
     assert importlib.util.find_spec("strongedge.chordal") is None
     for name in oracle.__all__:
         assert getattr(oracle, name) is not None, name

@@ -151,6 +151,35 @@ def test_coloring_canonical_form():
     assert c.colors == (0, 1, 0, 2) and c.palette_size == 3
 
 
+@pytest.mark.parametrize(
+    "colors, palette_size, message",
+    [
+        ((0, 2), -1, "colors must be exactly 0..k-1 with no gaps"),
+        ((0, 2), 2, "colors must be exactly 0..k-1 with no gaps"),
+        ((1, 1), -1, "colors must be exactly 0..k-1 with no gaps"),
+        ((0, 1), 3, "palette_size 3 != 2 distinct colors"),
+        ((0, 0, 1), 1, "palette_size 1 != 2 distinct colors"),
+        ((-1, 0), -1, "colors must be exactly 0..k-1 with no gaps"),
+        ((-1, 0), 2, "colors must be exactly 0..k-1 with no gaps"),
+        ((-1, 0, 0), 3, "palette_size 3 != 2 distinct colors"),
+        ((0, 10**12), 3, "palette_size 3 != 2 distinct colors"),
+        ((), 1, "palette_size 1 != 0 distinct colors"),
+    ],
+)
+def test_coloring_check_rejects_with_its_message(colors, palette_size, message):
+    with pytest.raises(GraphError) as info:
+        StrongEdgeColoring(colors, palette_size)
+    assert str(info.value) == message
+
+
+def test_coloring_check_accepts_and_defaults_the_palette():
+    assert StrongEdgeColoring(()).palette_size == 0
+    assert StrongEdgeColoring((), 0).colors == ()
+    assert StrongEdgeColoring((1, 0, 1, 2)).palette_size == 3
+    assert StrongEdgeColoring((0, 0, 0), 1).palette_size == 1
+    assert StrongEdgeColoring(tuple(range(500))[::-1]).palette_size == 500
+
+
 def test_induced_matching_checker():
     p6 = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
     assert is_induced_matching(p6, [(0, 1), (3, 4)])

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 
 from strongedge import (
-    Graph,
     PermutationDiagram,
     PermutationError,
     StrongEdgeColoring,
@@ -15,6 +14,7 @@ from strongedge import (
     exact_chromatic_number,
     exact_max_clique,
     greedy_trapezoid_coloring,
+    inversions,
     is_chain_coloring,
     is_strong_edge_coloring,
     parse_permutation,
@@ -56,6 +56,13 @@ def test_permutation_graph_matches_the_pair_definition(d):
     assert permutation_graph(d).edges == pairs
 
 
+@given(permutation_diagrams(max_n=40))
+def test_inversions_match_the_pair_definition(d):
+    pi = d.pi
+    later = [[v for v in range(u + 1, d.n) if pi[u] > pi[v]] for u in range(d.n)]
+    assert inversions(pi) == later
+
+
 def test_trapezoid_model_examples():
     d = PermutationDiagram(3, (2, 1, 0))
     g = permutation_graph(d)
@@ -86,10 +93,29 @@ def test_trapezoid_model_rejects_mismatched_graph():
     ):
         with pytest.raises(PermutationError, match="does not match"):
             trapezoid_model(d, g)
-        with pytest.raises(PermutationError, match="does not match"):
-            strong_color_permutation(d, g)
-        # one color per edge passes every class test: only the graph check fails
-        assert not is_chain_coloring(d, g, StrongEdgeColoring(tuple(range(g.m))))
+
+
+# pi = 2 0 3 1 has the inversions (0,1), (0,3) and (2,3)
+_NOT_THE_INVERSIONS = {
+    "missing": [[1], [], [3], []],
+    "not-inverted": [[1, 2], [], [3], []],  # (0,2) instead of (0,3)
+    "repeated": [[1, 1], [], [3], []],
+    "out-of-order": [[3, 1], [], [3], []],
+    "out-of-range": [[1, 3], [], [4], []],
+    "too-few-lists": [[1, 3], [], [3]],
+    "too-many-lists": [[1, 3], [], [3], [], []],
+}
+
+
+@pytest.mark.parametrize("later", _NOT_THE_INVERSIONS.values(), ids=_NOT_THE_INVERSIONS)
+def test_lists_that_are_not_the_inversions_are_rejected(later):
+    d = PermutationDiagram(4, (2, 0, 3, 1))
+    assert inversions(d.pi) == [[1, 3], [], [3], []]
+    with pytest.raises(PermutationError, match="do not match"):
+        strong_color_permutation(d, later)
+    # one color per entry passes every class test: only the lists check fails
+    m = sum(map(len, later))
+    assert not is_chain_coloring(d, later, StrongEdgeColoring(tuple(range(m))))
 
 
 def test_trapezoids_intersect_is_symmetric_on_cases():
@@ -103,11 +129,11 @@ def test_trapezoids_intersect_is_symmetric_on_cases():
 
 def test_greedy_coloring_examples():
     d = PermutationDiagram(4, (1, 0, 3, 2))
-    c = greedy_trapezoid_coloring(d.pi, permutation_graph(d).edges)
+    c = greedy_trapezoid_coloring(d.pi, inversions(d.pi))
     assert c.colors == (0, 0) and c.palette_size == 1
 
     k3 = PermutationDiagram(3, (2, 1, 0))
-    c3 = greedy_trapezoid_coloring(k3.pi, permutation_graph(k3).edges)
+    c3 = greedy_trapezoid_coloring(k3.pi, inversions(k3.pi))
     assert sorted(c3.colors) == [0, 1, 2]
 
     assert greedy_trapezoid_coloring((), []).palette_size == 0
@@ -146,20 +172,20 @@ def test_sweep_matches_the_class_scanning_reference():
         d = PermutationDiagram(n, tuple(pi))
         g = permutation_graph(d)
         reference = _tightest_fit_reference(trapezoid_model(d, g))
-        assert greedy_trapezoid_coloring(d.pi, g.edges) == reference, pi
+        assert greedy_trapezoid_coloring(d.pi, inversions(d.pi)) == reference, pi
 
 
 def test_strong_color_permutation_examples():
     for pi, palette in (((2, 1, 0), 3), ((0, 1, 2), 0), ((1, 0, 3, 2), 1)):
         d = PermutationDiagram(len(pi), pi)
-        assert strong_color_permutation(d, permutation_graph(d)).palette_size == palette
+        assert strong_color_permutation(d, inversions(d.pi)).palette_size == palette
 
 
 def test_tightest_fit_handles_the_first_fit_counterexample():
     # Plain first-fit (always the lowest class index) spends 5 colors here;
     # the squared linegraph is 4-chromatic and tightest-fit finds 4.
     d = PermutationDiagram(7, (1, 2, 4, 0, 6, 5, 3))
-    coloring = strong_color_permutation(d, permutation_graph(d))
+    coloring = strong_color_permutation(d, inversions(d.pi))
     g = permutation_graph(d)
     assert is_strong_edge_coloring(g, coloring)
     sq = square_of_linegraph(g)
@@ -185,7 +211,7 @@ def test_model_fidelity_against_squared_linegraph(d):
 
 @given(permutation_diagrams(max_n=12))
 def test_coloring_is_valid_and_clique_bounded(d):
-    coloring = strong_color_permutation(d, permutation_graph(d))
+    coloring = strong_color_permutation(d, inversions(d.pi))
     g = permutation_graph(d)
     assert is_strong_edge_coloring(g, coloring)
     sq = square_of_linegraph(g)
@@ -194,7 +220,7 @@ def test_coloring_is_valid_and_clique_bounded(d):
 
 @given(permutation_diagrams(max_n=7))
 def test_palette_is_optimal_at_small_sizes(d):
-    coloring = strong_color_permutation(d, permutation_graph(d))
+    coloring = strong_color_permutation(d, inversions(d.pi))
     sq = square_of_linegraph(permutation_graph(d))
     assert coloring.palette_size == exact_chromatic_number(sq)
 
@@ -202,7 +228,7 @@ def test_palette_is_optimal_at_small_sizes(d):
 def test_sweep_matches_oracle_on_all_five_point_diagrams():
     for pi in itertools.permutations(range(5)):
         d = PermutationDiagram(5, pi)
-        palette = strong_color_permutation(d, permutation_graph(d)).palette_size
+        palette = strong_color_permutation(d, inversions(d.pi)).palette_size
         sq = square_of_linegraph(permutation_graph(d))
         assert palette == exact_chromatic_number(sq), pi
 
@@ -216,15 +242,16 @@ def _recolored(coloring, i, c):
 @given(permutation_diagrams(max_n=12), st.data())
 def test_chain_check_agrees_with_the_generic_checker(d, data):
     g = permutation_graph(d)
-    coloring = strong_color_permutation(d, g)
-    assert is_chain_coloring(d, g, coloring)
+    later = inversions(d.pi)
+    coloring = strong_color_permutation(d, later)
+    assert is_chain_coloring(d, later, coloring)
     for _ in range(data.draw(st.integers(0, 3))):
         if not g.m:
             break
         i = data.draw(st.integers(0, g.m - 1))
         c = data.draw(st.integers(0, coloring.palette_size))
         coloring = _recolored(coloring, i, c)
-    assert is_chain_coloring(d, g, coloring) == is_strong_edge_coloring(g, coloring)
+    assert is_chain_coloring(d, later, coloring) == is_strong_edge_coloring(g, coloring)
 
 
 def test_chain_check_on_every_single_edge_recoloring():
@@ -233,11 +260,12 @@ def test_chain_check_on_every_single_edge_recoloring():
         for pi in itertools.permutations(range(n)):
             d = PermutationDiagram(n, pi)
             g = permutation_graph(d)
-            coloring = strong_color_permutation(d, g)
+            later = inversions(d.pi)
+            coloring = strong_color_permutation(d, later)
             for i in range(g.m):
                 for c in range(coloring.palette_size + 1):
                     recolored = _recolored(coloring, i, c)
-                    ok = is_chain_coloring(d, g, recolored)
+                    ok = is_chain_coloring(d, later, recolored)
                     assert ok == is_strong_edge_coloring(g, recolored), (pi, i, c)
                     checked += 1
                     rejected += not ok
@@ -245,13 +273,11 @@ def test_chain_check_on_every_single_edge_recoloring():
 
 
 def test_chain_check_rejects_unordered_edges_and_wrong_lengths():
-    d = PermutationDiagram(4, (1, 0, 3, 2))
-    g = permutation_graph(d)
-    one_each = StrongEdgeColoring((0, 1))
-    assert is_chain_coloring(d, g, one_each)
-    # a valid coloring, but the edges no longer arrive in top_lo order
-    backwards = Graph(d.n, g.edges[::-1])
-    assert is_strong_edge_coloring(backwards, one_each)
-    assert not is_chain_coloring(d, backwards, one_each)
-    for colors in ((0,), (0, 1, 2)):
-        assert not is_chain_coloring(d, g, StrongEdgeColoring(colors))
+    d = PermutationDiagram(4, (2, 0, 3, 1))
+    later = inversions(d.pi)
+    one_each = StrongEdgeColoring((0, 1, 2))
+    assert is_chain_coloring(d, later, one_each)
+    # a valid coloring, but the edges of vertex 0 no longer come in order
+    assert not is_chain_coloring(d, [[3, 1], [], [3], []], one_each)
+    for colors in ((0, 1), (0, 1, 2, 3)):
+        assert not is_chain_coloring(d, later, StrongEdgeColoring(colors))
