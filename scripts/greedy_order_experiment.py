@@ -46,11 +46,12 @@ def first_fit_palette(traps) -> int:
 
 def evaluate(pi):
     d = PermutationDiagram(len(pi), tuple(pi))
+    later = inversions(d.pi)
     g = permutation_graph(d)
-    traps = trapezoid_model(d, g)
+    traps = trapezoid_model(d, later)
     chi = exact_chromatic_number(square_of_linegraph(g))
     ff = first_fit_palette(traps)
-    tf = greedy_trapezoid_coloring(d.pi, inversions(d.pi)).palette_size
+    tf = greedy_trapezoid_coloring(d.pi, later).palette_size
     return chi, ff, tf
 
 

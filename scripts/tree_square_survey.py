@@ -26,20 +26,20 @@ from strongedge import (
 )
 
 
-def find_gem(sq):
-    """Brute-force gem witness: (apex, 4-path) over 5-vertex subsets."""
-    adj = [set(nbrs) for nbrs in sq.adj]
-    for sub in itertools.combinations(range(sq.n), 5):
+def find_gem(rows):
+    """Brute-force gem witness: (apex, 4-path) over 5-vertex subsets of
+    the graph with bitset rows `rows`."""
+    for sub in itertools.combinations(range(len(rows)), 5):
         for apex in sub:
             rest = [v for v in sub if v != apex]
-            if any(v not in adj[apex] for v in rest):
+            if any(not rows[apex] >> v & 1 for v in rest):
                 continue
             for perm in itertools.permutations(rest):
                 path_edges = {(min(a, b), max(a, b))
                               for a, b in zip(perm, perm[1:])}
                 induced = {(min(a, b), max(a, b))
                            for a, b in itertools.combinations(rest, 2)
-                           if b in adj[a]}
+                           if rows[a] >> b & 1}
                 if induced == path_edges:
                     return apex, perm
     return None

@@ -3,10 +3,12 @@ permutation graphs, with exact brute-force oracles for cross-verification.
 
 `sci`, `im` and `strong_coloring` run in linear time on decomposition
 trees, and `strong_color_permutation` colors permutation graphs.
-`strongedge.oracle` exists to falsify them: the exact solvers, the
-structural checks, `square_of_linegraph` and `complement` they run on,
-and the chordal machinery (Lex-BFS, perfect elimination orderings,
-`chordal_coloring`), which only that module exports.
+`strongedge.oracle` exists to falsify them: the exact solvers and the
+structural checks, which take graphs as bitset adjacency rows,
+`square_of_linegraph`, which builds L(G)^2 as those rows, and
+`complement`.  Only that module exports `adjacency_rows`, the rows of a
+plain Graph, and the chordal machinery (Lex-BFS, perfect elimination
+orderings, `chordal_coloring`).
 """
 
 from .decomposition import (

@@ -1,11 +1,13 @@
-"""Exact brute-force solvers, structural checkers and the graphs they run
-on, used to cross-verify every fast-path result on small instances.
+"""Exact brute-force solvers and structural checkers, used to
+cross-verify every fast-path result on small instances.
 
-Nothing here is on a fast path.  `square_rows` builds L(G)^2 as bitset
-rows, one per edge of G, and `square_of_linegraph` its Graph; the solvers
-search bitset rows.  Lex-BFS and the perfect elimination check decide
-chordality for graphs of a few dozen vertices, so they are written
-straight from their definitions.
+Nothing here is on a fast path.  The solvers and checkers take one
+representation, adjacency bitset rows: one int per vertex, bit j of row i
+set iff i ~ j.  `square_of_linegraph` builds L(G)^2 in that form and
+`adjacency_rows` turns a plain Graph into it; only `complement` builds a
+Graph.  Lex-BFS and the perfect elimination check decide chordality for
+graphs of a few dozen vertices, so they are written straight from their
+definitions.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
-from itertools import combinations
 
 from .graph import Graph, nonedges
 
@@ -21,6 +22,7 @@ __all__ = [
     "BudgetExceededError",
     "OracleReport",
     "PerfectEliminationError",
+    "adjacency_rows",
     "chordal_coloring",
     "complement",
     "exact_chromatic_number",
@@ -33,7 +35,6 @@ __all__ = [
     "is_ptolemaic",
     "lexbfs_order",
     "square_of_linegraph",
-    "square_rows",
     "chromatic_number_exhaustive",
     "max_clique_exhaustive",
     "max_independent_set_exhaustive",
@@ -45,7 +46,16 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, list(nonedges(g)))
 
 
-def square_rows(g: Graph) -> list[int]:
+def adjacency_rows(g: Graph) -> list[int]:
+    """The bitset rows of g: bit j of row i is set iff i ~ j."""
+    rows = [0] * g.n
+    for u, v in g.edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
+def square_of_linegraph(g: Graph) -> list[int]:
     """L(g)^2 as bitset rows over the edge indices of g: bit f of row
     e = {u,v} is set when f != e and the two edges share an endpoint or an
     edge of g joins their endpoints, that is when f has an endpoint in
@@ -61,22 +71,27 @@ def square_rows(g: Graph) -> list[int]:
     return [(near[u] | near[v]) & ~(1 << i) for i, (u, v) in enumerate(g.edges)]
 
 
-def square_of_linegraph(g: Graph) -> Graph:
-    """L(g)^2 as a Graph: one vertex per edge of g, adjacent as in
-    `square_rows`, with its edges in lexicographic order."""
-    sq_edges: list[tuple[int, int]] = []
-    for idx, row in enumerate(square_rows(g)):
-        # bin() lists bits highest first; reversed, char k is bit idx + 1 + k
-        above = bin(row >> (idx + 1))[:1:-1]
-        sq_edges.extend((idx, idx + 1 + k) for k, b in enumerate(above) if b == "1")
-    return Graph(g.m, sq_edges)
+def _iter_bits(mask: int):
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
+
+
+def _is_clique_on(rows: list[int], mask: int) -> bool:
+    # a clique minus a vertex's neighbors leaves just that vertex
+    return all(mask & ~rows[v] == 1 << v for v in _iter_bits(mask))
+
+
+def is_clique(rows: list[int]) -> bool:
+    return _is_clique_on(rows, (1 << len(rows)) - 1)
 
 
 class PerfectEliminationError(RuntimeError):
     """Raised when a graph expected to be chordal fails the PEO check."""
 
 
-def lexbfs_order(g: Graph) -> list[int]:
+def lexbfs_order(rows: list[int]) -> list[int]:
     """Lexicographic BFS visit order (Rose, Tarjan and Lueker 1976).
 
     Each step visits the unvisited vertex with the lexicographically
@@ -85,42 +100,39 @@ def lexbfs_order(g: Graph) -> list[int]:
     On a chordal graph the reverse of the order is a perfect elimination
     ordering.
     """
-    label: list[list[int]] = [[] for _ in range(g.n)]
-    unvisited = set(range(g.n))
+    n = len(rows)
+    label: list[list[int]] = [[] for _ in range(n)]
+    unvisited = (1 << n) - 1
     order: list[int] = []
-    for step in range(g.n, 0, -1):
-        v = max(unvisited, key=lambda u: (label[u], -u))
-        unvisited.remove(v)
+    for step in range(n, 0, -1):
+        v = max(_iter_bits(unvisited), key=lambda u: (label[u], -u))
+        unvisited ^= 1 << v
         order.append(v)
-        for w in g.adj[v]:
-            if w in unvisited:
-                label[w].append(step)
+        for w in _iter_bits(rows[v] & unvisited):
+            label[w].append(step)
     return order
 
 
-def is_perfect_elimination_ordering(g: Graph, peo: list[int]) -> bool:
+def is_perfect_elimination_ordering(rows: list[int], peo: list[int]) -> bool:
     """True iff peo lists every vertex once and each vertex's later
     neighbors are pairwise adjacent."""
-    if sorted(peo) != list(range(g.n)):
+    if sorted(peo) != list(range(len(rows))):
         return False
-    pos = [0] * g.n
-    for i, v in enumerate(peo):
-        pos[v] = i
-    adjset = [set(nbrs) for nbrs in g.adj]
-    return all(
-        b in adjset[a]
-        for v in peo
-        for a, b in combinations([w for w in g.adj[v] if pos[w] > pos[v]], 2)
-    )
+    later = 0
+    for v in reversed(peo):
+        if not _is_clique_on(rows, rows[v] & later):
+            return False
+        later |= 1 << v
+    return True
 
 
-def is_chordal(g: Graph) -> bool:
-    order = lexbfs_order(g)
+def is_chordal(rows: list[int]) -> bool:
+    order = lexbfs_order(rows)
     order.reverse()
-    return is_perfect_elimination_ordering(g, order)
+    return is_perfect_elimination_ordering(rows, order)
 
 
-def chordal_coloring(g: Graph) -> list[int]:
+def chordal_coloring(rows: list[int]) -> list[int]:
     """Color a chordal graph with exactly its clique number of colors.
 
     Greedy first-fit along the Lex-BFS visit order: every vertex's earlier
@@ -128,15 +140,15 @@ def chordal_coloring(g: Graph) -> list[int]:
     blocked colors.  Raises PerfectEliminationError if the PEO check fails,
     which would mean the input was not chordal after all.
     """
-    order = lexbfs_order(g)
-    if not is_perfect_elimination_ordering(g, order[::-1]):
+    order = lexbfs_order(rows)
+    if not is_perfect_elimination_ordering(rows, order[::-1]):
         raise PerfectEliminationError(
             "graph has no perfect elimination ordering (not chordal)"
         )
-    colors = [-1] * g.n
+    colors = [-1] * len(rows)
     for v in order:
-        used = {colors[w] for w in g.adj[v]}
-        colors[v] = next(c for c in range(g.n) if c not in used)
+        used = {colors[w] for w in _iter_bits(rows[v])}
+        colors[v] = next(c for c in range(len(rows)) if c not in used)
     return colors
 
 
@@ -193,21 +205,6 @@ def _search(recurse, *args):
         ) from None
 
 
-def _adj_bits(g: Graph) -> list[int]:
-    bits = [0] * g.n
-    for u, v in g.edges:
-        bits[u] |= 1 << v
-        bits[v] |= 1 << u
-    return bits
-
-
-def _iter_bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
-
-
 def _color_candidates(mask: int, adj: list[int]) -> list[tuple[int, int]]:
     # Greedy partition of the candidate set into independent classes; a
     # vertex in class c can extend the current clique to at most c more.
@@ -226,9 +223,9 @@ def _color_candidates(mask: int, adj: list[int]) -> list[tuple[int, int]]:
     return out
 
 
-def exact_max_clique(g: Graph, budget: int | None = None) -> int:
+def exact_max_clique(rows: list[int], budget: int | None = None) -> int:
     """Exact clique number via branch and bound with a coloring bound."""
-    return _max_clique_impl(_adj_bits(g), _Budget(budget))[0]
+    return _max_clique_impl(rows, _Budget(budget))[0]
 
 
 def _max_clique_impl(adj: list[int], budget: _Budget) -> tuple[int, int]:
@@ -259,15 +256,15 @@ def _max_clique_impl(adj: list[int], budget: _Budget) -> tuple[int, int]:
     return best, best_mask
 
 
-def exact_max_independent_set(g: Graph, budget: int | None = None) -> int:
+def exact_max_independent_set(rows: list[int], budget: int | None = None) -> int:
     """Exact maximum independent set size: the clique number of the
     complement, searched on complemented adjacency rows."""
-    full = (1 << g.n) - 1
-    rows = [full & ~row & ~(1 << v) for v, row in enumerate(_adj_bits(g))]
-    return _max_clique_impl(rows, _Budget(budget))[0]
+    full = (1 << len(rows)) - 1
+    co_rows = [full & ~row & ~(1 << v) for v, row in enumerate(rows)]
+    return _max_clique_impl(co_rows, _Budget(budget))[0]
 
 
-def exact_chromatic_number(g: Graph, budget: int | None = None) -> int:
+def exact_chromatic_number(rows: list[int], budget: int | None = None) -> int:
     """Exact chromatic number.
 
     Branch and bound: the clique number gives the lower bound (and its
@@ -276,90 +273,104 @@ def exact_chromatic_number(g: Graph, budget: int | None = None) -> int:
     most-saturated-first selection for increasing k.  A clique needs no
     search: its n vertices take n colors.
     """
-    n = g.n
-    if is_clique(g):
-        return n
-    if g.m == 0:
+    if is_clique(rows):
+        return len(rows)
+    if not any(rows):
         return 1
     b = _Budget(budget)
-    lb, clique_mask = _max_clique_impl(_adj_bits(g), b)
-    ub = _dsatur_bound(g)
+    lb, clique_mask = _max_clique_impl(rows, b)
+    ub = _dsatur_bound(rows)
     if lb == ub:
         return lb
-    clique = [v for v in _iter_bits(clique_mask)]
+    clique = list(_iter_bits(clique_mask))
     for k in range(lb, ub):
-        if _k_colorable(g, k, clique, b):
+        if _k_colorable(rows, k, clique, b):
             return k
     return ub
 
 
-def _dsatur_bound(g: Graph) -> int:
-    n = g.n
-    colors = [-1] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if colors[u] == -1),
-            key=lambda u: (len(neighbor_colors[u]), g.degree(u), -u),
-        )
-        c = colors[v] = next(k for k in range(n) if k not in neighbor_colors[v])
-        for w in g.adj[v]:
-            neighbor_colors[w].add(c)
-    return max(colors) + 1
+class _Saturation:
+    """The colors each vertex sees, for most-saturated-first selection:
+    per color, the mask of the vertices with a neighbor of that color, and
+    per vertex, how many colors it sees."""
+
+    __slots__ = ("rows", "degree", "near", "count")
+
+    def __init__(self, rows: list[int], colors: int):
+        self.rows = rows
+        self.degree = [row.bit_count() for row in rows]
+        self.near = [0] * colors
+        self.count = [0] * len(rows)
+
+    def place(self, v: int, c: int) -> int:
+        """Color v with c; returns the vertices that now first see c."""
+        new = self.rows[v] & ~self.near[c]
+        self.near[c] |= new
+        for w in _iter_bits(new):
+            self.count[w] += 1
+        return new
+
+    def unplace(self, c: int, new: int):
+        """Undo the latest `place` still standing, which colored with c
+        and returned new."""
+        self.near[c] ^= new
+        for w in _iter_bits(new):
+            self.count[w] -= 1
+
+    def pick(self, uncolored: int) -> int:
+        """The uncolored vertex seeing the most colors, then of highest
+        degree, then of smallest id."""
+        count, degree = self.count, self.degree
+        return max(_iter_bits(uncolored), key=lambda u: (count[u], degree[u], -u))
 
 
-def _k_colorable(g: Graph, k: int, clique: list[int], budget: _Budget) -> bool:
-    n = g.n
+def _dsatur_bound(rows: list[int]) -> int:
+    n = len(rows)
+    seen = _Saturation(rows, n)
+    uncolored = (1 << n) - 1
+    used = 0
+    while uncolored:
+        v = seen.pick(uncolored)
+        uncolored ^= 1 << v
+        c = next(k for k in range(n) if not seen.near[k] >> v & 1)
+        seen.place(v, c)
+        used = max(used, c + 1)
+    return used
+
+
+def _k_colorable(rows: list[int], k: int, clique: list[int], budget: _Budget) -> bool:
+    n = len(rows)
     if len(clique) > k:
         return False
     if n <= k:
         return True
-    colors = [-1] * n
-    # (color -> count) per vertex, to maintain saturation under backtracking
-    seen: list[dict[int, int]] = [{} for _ in range(n)]
-
-    def place(v: int, c: int):
-        colors[v] = c
-        for w in g.adj[v]:
-            seen[w][c] = seen[w].get(c, 0) + 1
-
-    def unplace(v: int, c: int):
-        colors[v] = -1
-        for w in g.adj[v]:
-            if seen[w][c] == 1:
-                del seen[w][c]
-            else:
-                seen[w][c] -= 1
-
+    seen = _Saturation(rows, k)
+    uncolored = (1 << n) - 1
     for i, v in enumerate(clique):
-        place(v, i)
-    used = len(clique)
+        seen.place(v, i)
+        uncolored ^= 1 << v
 
-    def solve(remaining: int, used: int) -> bool:
+    def solve(uncolored: int, used: int) -> bool:
         budget.spend()
-        if remaining == 0:
+        if uncolored == 0:
             return True
-        v = max(
-            (u for u in range(n) if colors[u] == -1),
-            key=lambda u: (len(seen[u]), g.degree(u), -u),
-        )
-        limit = min(k, used + 1)
-        for c in range(limit):
-            if c in seen[v]:
+        v = seen.pick(uncolored)
+        for c in range(min(k, used + 1)):
+            if seen.near[c] >> v & 1:
                 continue
-            place(v, c)
-            if solve(remaining - 1, max(used, c + 1)):
+            new = seen.place(v, c)
+            if solve(uncolored ^ (1 << v), max(used, c + 1)):
                 return True
-            unplace(v, c)
+            seen.unplace(c, new)
         return False
 
-    return _search(solve, n - len(clique), used)
+    return _search(solve, uncolored, len(clique))
 
 
 def has_induced_cycle_at_least(
-    g: Graph, k: int, budget: int | None = 10**6
+    rows: list[int], k: int, budget: int | None = 10**6
 ) -> bool:
-    """True iff g contains an induced (chordless) cycle of length >= k.
+    """True iff the graph has an induced (chordless) cycle of length >= k.
 
     DFS over chordless paths anchored at the cycle's minimum vertex.
     Raises BudgetExceededError when the expansion budget runs out, so an
@@ -367,85 +378,67 @@ def has_induced_cycle_at_least(
     """
     if k < 3:
         raise ValueError("cycle length threshold must be at least 3")
-    n = g.n
-    adjset = [set(nbrs) for nbrs in g.adj]
     b = _Budget(budget)
-    for s in range(n):
-        # path = [s, v1, ..., vt], chordless, internal vertices all > s
-        stack: list[list[int]] = [[s, v] for v in sorted(g.adj[s]) if v > s]
+    for s, row_s in enumerate(rows):
+        above = -1 << (s + 1)  # the vertices > s
+        # (path, inner): path = [s, v1, ..., vt], chordless, internal
+        # vertices all > s; inner is the mask of v1..v_{t-1}
+        stack = [([s, v], 0) for v in _iter_bits(row_s & above)]
         while stack:
-            path = stack.pop()
+            path, inner = stack.pop()
             b.spend()
             tail = path[-1]
-            first = path[1]
-            interior = path[:-1]  # s..v_{t-1}; tail neighbors may extend
-            for w in sorted(adjset[tail]):
-                if w <= s or w in path:
+            for w in _iter_bits(rows[tail] & above & ~inner):
+                if rows[w] & inner:
                     continue
-                if any(w in adjset[x] for x in interior[1:]):
-                    continue
-                if w in adjset[s]:
+                if row_s >> w & 1:
                     # closing edge: cycle s..tail,w of length len(path)+1
-                    if len(path) + 1 >= k and first < w:
+                    if len(path) + 1 >= k and path[1] < w:
                         return True
                 else:
-                    stack.append(path + [w])
+                    stack.append((path + [w], inner | 1 << tail))
     return False
 
 
-def is_clique(g: Graph) -> bool:
-    return g.m == g.n * (g.n - 1) // 2
-
-
-def is_ptolemaic(g: Graph) -> bool:
+def is_ptolemaic(rows: list[int]) -> bool:
     """Chordal and gem-free (a gem is a P4 plus a vertex seeing all of it)."""
-    return is_chordal(g) and not _has_induced_gem(g)
+    return is_chordal(rows) and not _has_induced_gem(rows)
 
 
-def _has_induced_gem(g: Graph) -> bool:
-    adjset = [set(nbrs) for nbrs in g.adj]
-    for apex in range(g.n):
-        nbrs = g.adj[apex]
-        inside = adjset[apex]
-        # induced P4 a-b-c-d within the apex's neighborhood
-        for b in nbrs:
-            for a in adjset[b] & inside:
-                for c in adjset[b] & inside:
-                    if c == a or c in adjset[a]:
-                        continue
-                    for d in adjset[c] & inside:
-                        if d in (a, b) or d in adjset[a] or d in adjset[b]:
-                            continue
+def _has_induced_gem(rows: list[int]) -> bool:
+    for inside in rows:  # the neighborhood of an apex
+        # induced P4 a-b-c-d within it
+        for b in _iter_bits(inside):
+            around_b = rows[b] & inside
+            for a in _iter_bits(around_b):
+                for c in _iter_bits(around_b & ~rows[a] & ~(1 << a)):
+                    # d is neither a nor b, as a ~ b
+                    if rows[c] & inside & ~rows[a] & ~rows[b]:
                         return True
     return False
 
 
-def max_clique_exhaustive(g: Graph) -> int:
+def max_clique_exhaustive(rows: list[int]) -> int:
     """Independent cross-check: scan all vertex subsets. Only for tiny n."""
-    adj = _adj_bits(g)
-    # a clique minus a vertex's neighbors leaves just that vertex
     return max(
-        (mask.bit_count() for mask in range(1 << g.n)
-         if all(mask & ~adj[v] == 1 << v for v in _iter_bits(mask))),
+        (mask.bit_count() for mask in range(1 << len(rows)) if _is_clique_on(rows, mask)),
         default=0,
     )
 
 
-def max_independent_set_exhaustive(g: Graph) -> int:
-    adj = _adj_bits(g)
+def max_independent_set_exhaustive(rows: list[int]) -> int:
     return max(
-        (mask.bit_count() for mask in range(1 << g.n)
-         if all(mask & adj[v] == 0 for v in _iter_bits(mask))),
+        (mask.bit_count() for mask in range(1 << len(rows))
+         if all(mask & rows[v] == 0 for v in _iter_bits(mask))),
         default=0,
     )
 
 
-def chromatic_number_exhaustive(g: Graph) -> int:
+def chromatic_number_exhaustive(rows: list[int]) -> int:
     """Independent cross-check: subset DP over independent sets, O(3^n)."""
-    n = g.n
+    n = len(rows)
     if n == 0:
         return 0
-    adj = _adj_bits(g)
     full = (1 << n) - 1
     independent = [False] * (full + 1)
     independent[0] = True
@@ -453,7 +446,7 @@ def chromatic_number_exhaustive(g: Graph) -> int:
         b = mask & -mask
         v = b.bit_length() - 1
         rest = mask ^ b
-        independent[mask] = independent[rest] and (adj[v] & rest) == 0
+        independent[mask] = independent[rest] and (rows[v] & rest) == 0
     INF = n + 1
     dp = [INF] * (full + 1)
     dp[0] = 0

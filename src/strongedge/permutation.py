@@ -175,28 +175,20 @@ def _are_inversions(pi: Sequence[int], later: Sequence[Sequence[int]]) -> bool:
     return True
 
 
-def _is_inversion_graph(d: PermutationDiagram, g: Graph) -> bool:
-    """True iff g is permutation_graph(d), with its edges in any order."""
-    if g.n != d.n:
-        return False
-    later: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        later[u].append(v)
-    for vs in later:
-        vs.sort()
-    return _are_inversions(d.pi, later)
-
-
-def trapezoid_model(d: PermutationDiagram, g: Graph) -> list[Trapezoid]:
-    """One trapezoid per edge of g, which must be permutation_graph(d).
+def trapezoid_model(
+    d: PermutationDiagram, later: Sequence[Sequence[int]]
+) -> list[Trapezoid]:
+    """One trapezoid per edge listed in `later`, which must be
+    inversions(d.pi), numbered in the order of the lists.
 
     Trapezoids intersect exactly when the corresponding edges are adjacent
-    in the squared linegraph of g.
+    in the squared linegraph of the permutation graph.
     """
-    if not _is_inversion_graph(d, g):
-        raise PermutationError("graph does not match the permutation diagram")
+    if not _are_inversions(d.pi, later):
+        raise PermutationError("list of inversions does not match the permutation diagram")
     pi = d.pi
-    return [Trapezoid(u, v, pi[v], pi[u], idx) for idx, (u, v) in enumerate(g.edges)]
+    pairs = ((u, v) for u, vs in enumerate(later) for v in vs)
+    return [Trapezoid(u, v, pi[v], pi[u], idx) for idx, (u, v) in enumerate(pairs)]
 
 
 def greedy_trapezoid_coloring(
@@ -246,7 +238,7 @@ def _tightest_fit(pi: Sequence[int], later: Sequence[Sequence[int]]) -> Iterator
     fbot: list[int] = []
     label: list[int] = []  # first-use color of each class, -1 before its first use
     opened: deque[int] = deque()  # ids of the classes opened for the current u
-    waiting: list[list[int] | None] = [[] for _ in range(n)]
+    waiting: dict[int, list[int]] = {}  # top frontier -> classes that wait there
     released = 0
     free: dict[int, list[int]] = {}
     free_fbots: list[int] = []
@@ -256,14 +248,13 @@ def _tightest_fit(pi: Sequence[int], later: Sequence[Sequence[int]]) -> Iterator
         if not vs:
             continue
         while released < u:
-            for c in waiting[released]:
+            for c in waiting.pop(released, ()):
                 b = fbot[c]
                 if b in free:
                     heapq.heappush(free[b], c)
                 else:
                     free[b] = [c]
                     bisect.insort(free_fbots, b)
-            waiting[released] = None
             released += 1
         top = pi[u]
         for v in sorted(vs, key=by_bottom) if len(vs) > 1 else vs:
@@ -279,7 +270,7 @@ def _tightest_fit(pi: Sequence[int], later: Sequence[Sequence[int]]) -> Iterator
                 fbot.append(top)
                 label.append(-1)
                 opened.append(c)
-            waiting[v].append(c)
+            waiting.setdefault(v, []).append(c)
             at[v] = c
         # the classes first used here take the next colors, which are the
         # ids just opened, in order: one int object serves as both

@@ -39,7 +39,7 @@ from strongedge import (
     trapezoid_model,
     trapezoids_intersect,
 )
-from strongedge.oracle import square_rows
+from strongedge.oracle import adjacency_rows
 from strategies import _bench_instance, tree_diameter
 
 
@@ -162,7 +162,7 @@ def test_criterion_05_tree_dp_exhaustive_and_random():
 def test_criterion_06_structural_properties():
     long_cycles = 0
     for t in _seeded_corpus(10_000, 500, 4, 6, 1, 12):
-        if has_induced_cycle_at_least(realize(t), 5):
+        if has_induced_cycle_at_least(adjacency_rows(realize(t)), 5):
             long_cycles += 1
 
     # L(T)^2 is always chordal (Cameron 1989), but ptolemaic exactly when
@@ -247,14 +247,13 @@ def _pairwise_trapezoid_rows(traps):
 
 def _model_matches(pi, exhaustive):
     d = PermutationDiagram(len(pi), tuple(pi))
-    g = permutation_graph(d)
-    traps = trapezoid_model(d, g)
+    traps = trapezoid_model(d, inversions(d.pi))
     rows = _trapezoid_rows(traps, d.n)
     # on the exhaustive diagrams the masks are checked against the
     # literal definition too
     if exhaustive and rows != _pairwise_trapezoid_rows(traps):
         return False
-    return rows == square_rows(g)
+    return rows == square_of_linegraph(permutation_graph(d))
 
 
 def test_criterion_07_trapezoid_model_fidelity():

@@ -6,6 +6,7 @@ from hypothesis import given
 from strongedge import build_graph
 from strongedge.oracle import (
     PerfectEliminationError,
+    adjacency_rows,
     chordal_coloring,
     exact_max_clique,
     has_induced_cycle_at_least,
@@ -18,40 +19,45 @@ from strongedge.oracle import (
 from strategies import graphs, trees
 
 
+def _rows(n, edges):
+    return adjacency_rows(build_graph(n, edges))
+
+
 def _cycle(n):
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return _rows(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def _path(n):
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
-# (graph, Lex-BFS order, chordal coloring or None when not chordal), as the
-# partition-refinement Lex-BFS gave them; the rewrite must reproduce them.
+# (graph rows, Lex-BFS order, chordal coloring or None when not chordal),
+# as the partition-refinement Lex-BFS gave them; the rewrite must
+# reproduce them.
 FROZEN = {
-    "empty": (build_graph(0, []), [], []),
-    "k1": (build_graph(1, []), [0], [0]),
-    "p4": (_path(4), [0, 1, 2, 3], [0, 1, 0, 1]),
+    "empty": ([], [], []),
+    "k1": ([0], [0], [0]),
+    "p4": (adjacency_rows(_path(4)), [0, 1, 2, 3], [0, 1, 0, 1]),
     "c4": (_cycle(4), [0, 1, 3, 2], None),
     "c5": (_cycle(5), [0, 1, 4, 2, 3], None),
     "k4": (
-        build_graph(4, list(itertools.combinations(range(4), 2))),
+        _rows(4, list(itertools.combinations(range(4), 2))),
         [0, 1, 2, 3],
         [0, 1, 2, 3],
     ),
-    "star": (build_graph(5, [(0, i) for i in range(1, 5)]), [0, 1, 2, 3, 4], [0, 1, 1, 1, 1]),
+    "star": (_rows(5, [(0, i) for i in range(1, 5)]), [0, 1, 2, 3, 4], [0, 1, 1, 1, 1]),
     "gem": (
-        build_graph(5, [(0, 1), (1, 2), (2, 3), (4, 0), (4, 1), (4, 2), (4, 3)]),
+        _rows(5, [(0, 1), (1, 2), (2, 3), (4, 0), (4, 1), (4, 2), (4, 3)]),
         [0, 1, 4, 2, 3],
         [0, 1, 0, 1, 2],
     ),
     "diamond-tail": (
-        build_graph(6, [(3, 5), (0, 2), (2, 3), (0, 3), (1, 4), (4, 5)]),
+        _rows(6, [(3, 5), (0, 2), (2, 3), (0, 3), (1, 4), (4, 5)]),
         [0, 2, 3, 5, 4, 1],
         [0, 0, 1, 2, 1, 0],
     ),
     "two-parts": (
-        build_graph(7, [(5, 6), (0, 4), (4, 6), (1, 3), (2, 3), (1, 2)]),
+        _rows(7, [(5, 6), (0, 4), (4, 6), (1, 3), (2, 3), (1, 2)]),
         [0, 4, 6, 5, 1, 2, 3],
         [0, 0, 1, 2, 1, 1, 0],
     ),
@@ -66,38 +72,39 @@ FROZEN = {
 
 @pytest.mark.parametrize("name", FROZEN)
 def test_frozen_lexbfs_orders_and_colorings(name):
-    g, order, colors = FROZEN[name]
-    assert lexbfs_order(g) == order
+    rows, order, colors = FROZEN[name]
+    assert lexbfs_order(rows) == order
     if colors is None:
         with pytest.raises(PerfectEliminationError):
-            chordal_coloring(g)
+            chordal_coloring(rows)
     else:
-        assert chordal_coloring(g) == colors
+        assert chordal_coloring(rows) == colors
 
 
 @given(graphs(max_n=6))
 def test_reversed_lexbfs_is_a_peo_exactly_when_one_exists(g):
-    found = is_perfect_elimination_ordering(g, lexbfs_order(g)[::-1])
-    assert is_chordal(g) == found
+    rows = adjacency_rows(g)
+    found = is_perfect_elimination_ordering(rows, lexbfs_order(rows)[::-1])
+    assert is_chordal(rows) == found
     assert found == any(
-        is_perfect_elimination_ordering(g, list(p))
+        is_perfect_elimination_ordering(rows, list(p))
         for p in itertools.permutations(range(g.n))
     )
 
 
 def test_lexbfs_is_a_permutation():
-    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
-    assert sorted(lexbfs_order(g)) == list(range(5))
-    assert lexbfs_order(build_graph(0, [])) == []
+    rows = _rows(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
+    assert sorted(lexbfs_order(rows)) == list(range(5))
+    assert lexbfs_order([]) == []
 
 
 @given(graphs())
 def test_lexbfs_is_a_permutation_always(g):
-    assert sorted(lexbfs_order(g)) == list(range(g.n))
+    assert sorted(lexbfs_order(adjacency_rows(g))) == list(range(g.n))
 
 
 def test_peo_checker():
-    p3 = build_graph(3, [(0, 1), (1, 2)])
+    p3 = _rows(3, [(0, 1), (1, 2)])
     assert is_perfect_elimination_ordering(p3, [0, 2, 1])
     c4 = _cycle(4)
     # C4 has no PEO at all
@@ -113,22 +120,23 @@ def test_peo_checker():
 
 
 def test_is_chordal_basics():
-    assert is_chordal(build_graph(0, []))
+    assert is_chordal([])
     assert is_chordal(_cycle(3))
     assert not is_chordal(_cycle(4))
     assert not is_chordal(_cycle(5))
-    assert is_chordal(build_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]))
+    assert is_chordal(_rows(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]))
 
 
 @given(trees(max_n=12))
 def test_trees_are_chordal(t):
-    assert is_chordal(t)
+    assert is_chordal(adjacency_rows(t))
 
 
 @given(graphs(max_n=7))
 def test_is_chordal_matches_induced_cycle_search(g):
     # dual route: chordal iff no chordless cycle of length four or more
-    assert is_chordal(g) == (not has_induced_cycle_at_least(g, 4))
+    rows = adjacency_rows(g)
+    assert is_chordal(rows) == (not has_induced_cycle_at_least(rows, 4))
 
 
 def test_chordal_coloring_rejects_non_chordal():
@@ -138,12 +146,13 @@ def test_chordal_coloring_rejects_non_chordal():
 
 @given(graphs(max_n=8))
 def test_chordal_coloring_is_proper_and_optimal(g):
-    if not is_chordal(g):
+    rows = adjacency_rows(g)
+    if not is_chordal(rows):
         return
-    colors = chordal_coloring(g)
+    colors = chordal_coloring(rows)
     assert all(colors[u] != colors[v] for u, v in g.edges)
     palette = len(set(colors)) if colors else 0
-    assert palette == exact_max_clique(g)
+    assert palette == exact_max_clique(rows)
 
 
 @given(trees(max_n=10))

@@ -423,6 +423,24 @@ def test_oracle_tiny_budget_is_inconclusive(monkeypatch, capsys):
     assert capsys.readouterr().err == "inconclusive: search node budget of 1 exhausted\n"
 
 
+def test_oracle_builds_no_graph_of_the_square(monkeypatch, capsys):
+    # m = 893 edges, whose square has 380,309 edges: as a Graph it took
+    # 40 MiB, as bitset rows it takes about 0.15 MiB
+    pi = list(range(60))
+    random.Random(0).shuffle(pi)
+    feed(monkeypatch, " ".join(map(str, pi)))
+    tracemalloc.start()
+    try:
+        code = main(["oracle", "--json", "--budget", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "inconclusive: search node budget of 1 exhausted\n"
+    assert peak <= 4 << 20, peak
+
+
 def test_oracle_search_deeper_than_the_stack_is_inconclusive(
     shallow_stack, monkeypatch, capsys
 ):

@@ -25,7 +25,6 @@ from strongedge import (
     square_of_linegraph,
 )
 from strongedge.graph import bfs_tree, nonedges
-from strongedge.oracle import square_rows
 
 from strategies import graphs, trees
 
@@ -79,12 +78,12 @@ def test_graphs_built_in_the_package_peak_near_their_own_size():
 
 
 def test_square_of_linegraph_examples():
-    sq = square_of_linegraph(P4)
-    assert sq.n == 3 and set(sq.edges) == {(0, 1), (0, 2), (1, 2)}
+    # rows over the edge indices: bit f of row e set iff e ~ f
+    assert square_of_linegraph(P4) == [0b110, 0b101, 0b011]
     two_edges = build_graph(4, [(0, 1), (2, 3)])
-    assert square_of_linegraph(two_edges).m == 0
+    assert square_of_linegraph(two_edges) == [0, 0]
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert set(square_of_linegraph(star).edges) == {(0, 1), (0, 2), (1, 2)}
+    assert square_of_linegraph(star) == [0b110, 0b101, 0b011]
 
 
 def test_is_strong_edge_coloring_examples():
@@ -218,14 +217,22 @@ def _linegraph_distance2_pairs(g):
     return pairs
 
 
+def _rows_of_pairs(n, pairs):
+    rows = [0] * n
+    for e, f in pairs:
+        rows[e] |= 1 << f
+        rows[f] |= 1 << e
+    return rows
+
+
 @given(graphs())
 def test_square_matches_bfs_reference(g):
-    assert square_of_linegraph(g).edges == _linegraph_distance2_pairs(g)
+    assert square_of_linegraph(g) == _rows_of_pairs(g.m, _linegraph_distance2_pairs(g))
 
 
 @given(graphs())
 def test_square_rows_are_symmetric_without_diagonal_and_match_bfs_reference(g):
-    rows = square_rows(g)
+    rows = square_of_linegraph(g)
     assert len(rows) == g.m
     for e, row in enumerate(rows):
         assert not row >> e & 1 and row >> g.m == 0
@@ -244,16 +251,7 @@ def test_square_edges_are_complete_and_in_lexicographic_order():
         rng.shuffle(pi)
         cases.append(permutation_graph(PermutationDiagram(len(pi), tuple(pi))))
     for g in cases:
-        assert square_of_linegraph(g).edges == sorted(_linegraph_distance2_pairs(g)), g
-
-
-@given(graphs())
-def test_square_graph_is_what_build_graph_makes(g):
-    # the square is built without build_graph's checks, so its edge list
-    # must already pass them and yield the same adjacency
-    sq = square_of_linegraph(g)
-    ref = build_graph(g.m, sq.edges)
-    assert sq.n == ref.n and sq.edges == ref.edges and sq.adj == ref.adj
+        assert square_of_linegraph(g) == _rows_of_pairs(g.m, _linegraph_distance2_pairs(g)), g
 
 
 @given(graphs(), st.data())
@@ -281,6 +279,13 @@ def test_complement_is_an_involution(g):
     assert cc.n == g.n and set(cc.edges) == set(g.edges)
 
 
+def _properly_colors_the_square(g, colors):
+    rows = square_of_linegraph(g)
+    return all(
+        colors[e] != colors[f] for e in range(g.m) for f in range(e) if rows[e] >> f & 1
+    )
+
+
 @given(graphs(), st.data())
 def test_coloring_checker_matches_both_formulations(g, data):
     if g.m == 0:
@@ -293,8 +298,7 @@ def test_coloring_checker_matches_both_formulations(g, data):
     fast = is_strong_edge_coloring(g, c)
 
     # formulation 1: proper vertex coloring of the squared linegraph
-    sq = square_of_linegraph(g)
-    proper = all(c.colors[i] != c.colors[j] for i, j in sq.edges)
+    proper = _properly_colors_the_square(g, c.colors)
     # formulation 2: every color class is an induced matching
     classes = {}
     for idx, col in enumerate(c.colors):
@@ -317,8 +321,7 @@ def test_coloring_checker_on_linegraph_proper_colorings(g, rng):
         at[v].add(c)
         colors.append(c)
     coloring = StrongEdgeColoring.from_colors(colors)
-    sq = square_of_linegraph(g)
-    proper = all(coloring.colors[i] != coloring.colors[j] for i, j in sq.edges)
+    proper = _properly_colors_the_square(g, coloring.colors)
     assert is_strong_edge_coloring(g, coloring) == proper
 
 

@@ -10,7 +10,6 @@ from strongedge import (
     PermutationError,
     StrongEdgeColoring,
     Trapezoid,
-    build_graph,
     exact_chromatic_number,
     exact_max_clique,
     greedy_trapezoid_coloring,
@@ -65,34 +64,33 @@ def test_inversions_match_the_pair_definition(d):
 
 def test_trapezoid_model_examples():
     d = PermutationDiagram(3, (2, 1, 0))
-    g = permutation_graph(d)
-    traps = trapezoid_model(d, g)
-    by_edge = {g.edges[t.edge_index]: t for t in traps}
-    t02 = by_edge[(0, 2)]
-    assert (t02.top_lo, t02.top_hi, t02.bot_lo, t02.bot_hi) == (0, 2, 0, 2)
+    traps = trapezoid_model(d, inversions(d.pi))
+    # the edges (0,1), (0,2) and (1,2), numbered in the order of the lists
+    assert [t.edge_index for t in traps] == [0, 1, 2]
+    assert traps[1] == Trapezoid(0, 2, 0, 2, 1)
 
     d2 = PermutationDiagram(4, (1, 0, 3, 2))
-    traps2 = trapezoid_model(d2, permutation_graph(d2))
+    traps2 = trapezoid_model(d2, inversions(d2.pi))
     assert not trapezoids_intersect(traps2[0], traps2[1])
 
     empty = PermutationDiagram(3, (0, 1, 2))
-    assert trapezoid_model(empty, permutation_graph(empty)) == []
+    assert trapezoid_model(empty, inversions(empty.pi)) == []
 
 
 def test_trapezoid_model_rejects_mismatched_graph():
     d = PermutationDiagram(3, (2, 1, 0))
-    other = permutation_graph(PermutationDiagram(3, (0, 1, 2)))
+    other = inversions((0, 1, 2))
     with pytest.raises(PermutationError, match="does not match"):
         trapezoid_model(d, other)
 
     d = PermutationDiagram(4, (1, 0, 3, 2))  # inversions (0,1) and (2,3)
-    for g in (
-        build_graph(4, [(0, 1), (1, 2)]),  # right count, (1,2) not inverted
-        build_graph(4, [(0, 1)]),  # (2,3) missing
-        build_graph(5, [(0, 1), (2, 3)]),  # extra vertex
+    for later in (
+        [[1], [2], [], []],  # right count, (1,2) not inverted
+        [[1], [], [], []],  # (2,3) missing
+        [[1], [], [3], [], []],  # extra vertex
     ):
         with pytest.raises(PermutationError, match="does not match"):
-            trapezoid_model(d, g)
+            trapezoid_model(d, later)
 
 
 # pi = 2 0 3 1 has the inversions (0,1), (0,3) and (2,3)
@@ -170,8 +168,7 @@ def test_sweep_matches_the_class_scanning_reference():
                 j = min(n - 1, i + rng.randint(1, 4))
                 pi[i], pi[j] = pi[j], pi[i]
         d = PermutationDiagram(n, tuple(pi))
-        g = permutation_graph(d)
-        reference = _tightest_fit_reference(trapezoid_model(d, g))
+        reference = _tightest_fit_reference(trapezoid_model(d, inversions(d.pi)))
         assert greedy_trapezoid_coloring(d.pi, inversions(d.pi)) == reference, pi
 
 
@@ -203,10 +200,10 @@ def _intersection_pairs(traps):
 @given(permutation_diagrams(max_n=10))
 def test_model_fidelity_against_squared_linegraph(d):
     g = permutation_graph(d)
-    traps = trapezoid_model(d, g)
-    sq = square_of_linegraph(g)
+    traps = trapezoid_model(d, inversions(d.pi))
+    rows = square_of_linegraph(g)
     got = {(min(i, j), max(i, j)) for i, j in _intersection_pairs(traps)}
-    assert got == set(sq.edges)
+    assert got == {(e, f) for e in range(g.m) for f in range(e + 1, g.m) if rows[e] >> f & 1}
 
 
 @given(permutation_diagrams(max_n=12))
