@@ -474,13 +474,14 @@ def is_strong_edge_coloring_in(tree: DecompositionTree, coloring) -> bool:
     counts the leaf's vertices with color c; at a join, the sum over c of
     s_c(left) * s_c(right).  The counts s_c are kept only for the subtrees
     below a join, and merged small into large up to it.  Memory is the
-    colors at each vertex, 2m entries, and the counts.
+    colors at each vertex, 2m references to one int object per color, and
+    the counts.
     """
     colors = coloring.colors
     if len(colors) != tree.m:
         raise GraphError(f"coloring has {len(colors)} entries for {tree.m} edges")
     at: list[list[int]] = [[] for _ in range(tree.n)]
-    for (u, v), c in zip(tree.edges(), colors):
+    for (u, v), c in zip(tree.edges(), coloring.interned()):
         at[u].append(c)
         at[v].append(c)
     if sum(map(len, map(set, at))) != 2 * tree.m:

@@ -3,7 +3,8 @@ certificates found on them: strong edge colorings and induced matchings."""
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 
@@ -117,9 +118,15 @@ def is_tree(g: Graph) -> bool:
 @dataclass(frozen=True)
 class StrongEdgeColoring:
     """Map edge index -> color, in canonical form: colors are consecutive
-    integers 0..palette_size-1 with no gaps."""
+    integers 0..palette_size-1 with no gaps.
 
-    colors: tuple[int, ...]
+    ``colors`` is any sequence of ints.  The colorings this package makes
+    hold an ``array('i')``: 4 bytes per edge and no int object per color.
+    Reading such an array makes a fresh int of each value past 255, so a
+    check that keeps colors reads them through `interned`.
+    """
+
+    colors: Sequence[int]
     palette_size: int = field(default=-1)
 
     def __post_init__(self):
@@ -145,14 +152,16 @@ class StrongEdgeColoring:
 
     @classmethod
     def from_colors(cls, colors) -> "StrongEdgeColoring":
-        """Relabel arbitrary non-negative colors to 0..k-1 in first-use order."""
+        """Relabel arbitrary non-negative colors to 0..k-1 in first-use
+        order, into an ``array('i')``."""
         relabel: dict[int, int] = {}
-        out = []
-        for c in colors:
-            if c not in relabel:
-                relabel[c] = len(relabel)
-            out.append(relabel[c])
-        return cls(tuple(out), len(relabel))
+        out = array("i", (relabel.setdefault(c, len(relabel)) for c in colors))
+        return cls(out, len(relabel))
+
+    def interned(self) -> Iterator[int]:
+        """The colors in edge order, each color one int object shared by
+        all its edges."""
+        return map(list(range(self.palette_size)).__getitem__, self.colors)
 
     def __len__(self) -> int:
         return len(self.colors)
@@ -175,7 +184,7 @@ def is_strong_edge_coloring(g: Graph, coloring: StrongEdgeColoring) -> bool:
     if len(colors) != g.m:
         raise GraphError(f"coloring has {len(colors)} entries for {g.m} edges")
     at: list[set[int]] = [set() for _ in range(g.n)]
-    for (u, v), c in zip(g.edges, colors):
+    for (u, v), c in zip(g.edges, coloring.interned()):
         if c in at[u] or c in at[v]:
             return False
         at[u].add(c)

@@ -17,11 +17,11 @@ check it against the squared linegraph.
 
 from __future__ import annotations
 
-import bisect
-import heapq
-from collections import deque
-from collections.abc import Iterator, Sequence
+from array import array
+from bisect import bisect_left, insort
+from collections.abc import Sequence
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .graph import Graph, StrongEdgeColoring, clipped_repr
@@ -196,7 +196,7 @@ def greedy_trapezoid_coloring(
 ) -> StrongEdgeColoring:
     """Tightest-fit sweep over the trapezoids of the inversions `later` =
     inversions(pi), in O(n + m log n).  Colors follow the edge order (u, v)
-    of `later`, relabeled to first-use order.
+    of `later`, relabeled to first-use order, in an ``array('i')``.
 
     Edge (u, v) has top_lo = u, top_hi = v, bot_lo = pi[v] and bot_hi =
     pi[u].  Edges are processed in increasing (top_lo, bot_lo): top vertex
@@ -218,9 +218,14 @@ def greedy_trapezoid_coloring(
     short memory move per class released or emptied.
 
     Class ids count in opening order, which sets the tie-break.  Once a top
-    vertex's edges have their classes, their colors are emitted in the
+    vertex's edges have their classes, their colors are written in the
     order of `later[u]` through one first-use label per class, so the
     coloring comes out canonical with no relabeling pass.
+
+    The colors and the per-class state (bottom frontier, label and the link
+    of the wait buckets, kept as linked lists) are ``array('i')``s of 4
+    bytes an entry with no int object behind it.  Only the ids of free
+    classes, in the heaps, are int objects.
 
     Picking the smallest class instead (plain first-fit) can exceed the
     clique number, with counterexamples from seven-point diagrams on up.
@@ -228,57 +233,76 @@ def greedy_trapezoid_coloring(
     a fuller class also fits an emptier one.  Optimality is the tested
     greedy hypothesis; the oracle acceptance tests keep it honest.
     """
-    return StrongEdgeColoring(tuple(_tightest_fit(pi, later)))
+    return StrongEdgeColoring(_tightest_fit(pi, later))
 
 
-def _tightest_fit(pi: Sequence[int], later: Sequence[Sequence[int]]) -> Iterator[int]:
+def _tightest_fit(pi: Sequence[int], later: Sequence[Sequence[int]]) -> array:
     """The colors of `greedy_trapezoid_coloring`, one per edge in the order
     of `later`."""
     n = len(pi)
-    fbot: list[int] = []
-    label: list[int] = []  # first-use color of each class, -1 before its first use
-    opened: deque[int] = deque()  # ids of the classes opened for the current u
-    waiting: dict[int, list[int]] = {}  # top frontier -> classes that wait there
-    released = 0
-    free: dict[int, list[int]] = {}
+    colors = array("i", [0]) * sum(map(len, later))
+    # per class: bottom frontier, first-use color and the wait-bucket link,
+    # grown ahead of the classes a top vertex may open
+    fbot = array("i")
+    label = array("i")
+    before = array("i")
+    classes = 0
+    # The wait buckets, as linked lists: the last class to wait at each
+    # top frontier, and per class the one that waited there before it.
+    # For v in later[u], last[v] is the class of edge (u, v) once u has
+    # placed its edges.
+    last = [-1] * n
+    # bottom frontier -> heap of the free classes there
+    free: list[list[int] | None] = [None] * n
     free_fbots: list[int] = []
-    at = [0] * n  # class of edge (u, v) at v, for the current u
     by_bottom = pi.__getitem__
+    released = i = 0
     for u, vs in enumerate(later):
         if not vs:
             continue
         while released < u:
-            for c in waiting.pop(released, ()):
+            c = last[released]
+            while c >= 0:
                 b = fbot[c]
-                if b in free:
-                    heapq.heappush(free[b], c)
+                if free[b]:
+                    heappush(free[b], c)
                 else:
                     free[b] = [c]
-                    bisect.insort(free_fbots, b)
+                    insort(free_fbots, b)
+                c = before[c]
             released += 1
         top = pi[u]
+        # the classes opened here take the next colors, in the order of vs
+        k = opened = classes
+        if len(fbot) < classes + len(vs):
+            more = array("i", [0]) * max(len(vs), classes >> 4)
+            fbot += more
+            label += more
+            before += more
         for v in sorted(vs, key=by_bottom) if len(vs) > 1 else vs:
-            k = bisect.bisect_left(free_fbots, pi[v])
-            if k:
-                b = free_fbots[k - 1]
-                c = heapq.heappop(free[b])
-                if not free[b]:
-                    del free[b], free_fbots[k - 1]
-                fbot[c] = top
+            j = bisect_left(free_fbots, pi[v])
+            if j:
+                b = free_fbots[j - 1]
+                heap = free[b]
+                c = heappop(heap)
+                if not heap:
+                    free[b] = None
+                    del free_fbots[j - 1]
             else:
-                c = len(fbot)
-                fbot.append(top)
-                label.append(-1)
-                opened.append(c)
-            waiting.setdefault(v, []).append(c)
-            at[v] = c
-        # the classes first used here take the next colors, which are the
-        # ids just opened, in order: one int object serves as both
+                c = classes
+                classes += 1
+            fbot[c] = top
+            before[c] = last[v]
+            last[v] = c
         for v in vs:
-            c = at[v]
-            if label[c] < 0:
-                label[c] = opened.popleft()
-            yield label[c]
+            c = last[v]
+            if c < opened:
+                colors[i] = label[c]
+            else:
+                colors[i] = label[c] = k
+                k += 1
+            i += 1
+    return colors
 
 
 def strong_color_permutation(
@@ -314,14 +338,14 @@ def is_chain_coloring(
     if len(colors) != sum(map(len, later)) or not _are_inversions(d.pi, later):
         return False
     pi = d.pi
+    # the frontiers hold the ints of pi and of the lists, none read from colors
     top = [-1] * coloring.palette_size
     bot = [-1] * coloring.palette_size
-    i = 0
+    color = iter(colors)
     for u, vs in enumerate(later):
         for v in vs:
-            c = colors[i]
+            c = next(color)
             if top[c] >= u or bot[c] >= pi[v]:
                 return False
             top[c], bot[c] = v, pi[u]
-            i += 1
     return True

@@ -10,6 +10,7 @@ and the fold's values lay out the palette ranges.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .decomposition import CotreeLeaf, DecompositionTree, JoinNode, TreeLeaf, UnionNode
@@ -105,12 +106,12 @@ def strong_coloring(tree: DecompositionTree) -> StrongEdgeColoring:
             base[i - 1] = base[i] + per[lf]
         elif isinstance(node, UnionNode):
             base[lf] = base[i - 1] = base[i]
-    # Colors are relabeled to first-use order as they are emitted, through
-    # one label per color of the root's range: the coloring then refers to
-    # one int object per color, not one per edge.
-    label = [-1] * per[-1]
-    k = 0
-    colors: list[int] = []
+    # Colors are relabeled to first-use order as they are written, through
+    # one label per color of the root's range.  Labels and colors are
+    # array('i')s, 4 bytes an entry with no int object per color.
+    label = array("i", [-1]) * per[-1]
+    k = i = 0
+    colors = array("i", [0]) * tree.m
     for node, b, width in zip(order, base, per):
         if isinstance(node, TreeLeaf):
             raw = [b + c for c in _tree_leaf_coloring(node.t)]
@@ -124,5 +125,6 @@ def strong_coloring(tree: DecompositionTree) -> StrongEdgeColoring:
             if label[r] < 0:
                 label[r] = k
                 k += 1
-            colors.append(label[r])
-    return StrongEdgeColoring(tuple(colors), k)
+            colors[i] = label[r]
+            i += 1
+    return StrongEdgeColoring(colors, k)

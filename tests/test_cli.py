@@ -7,6 +7,7 @@ import json
 import random
 import sys
 import tracemalloc
+import types
 
 import hypothesis.strategies as st
 import pytest
@@ -588,6 +589,114 @@ def test_perm_peaks_well_under_its_graph(tmp_path, monkeypatch, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and out["verified"] is True and out["m"] > 90_000
     assert peak < 128 * out["m"]
+
+
+class _Sink:
+    """A standard output that keeps nothing, so that tracemalloc sees the
+    command's own memory and not its output."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_perm_peaks_at_a_few_dozen_bytes_per_edge(tmp_path):
+    """Apart from its output, perm holds the inversion lists (about 9
+    bytes per edge), the colors (4) and the sweep's state: three 4-byte
+    entries per class and, boxed, the ids of the free classes."""
+    pi = list(range(600))
+    random.Random(11).shuffle(pi)
+    path = tmp_path / "pi.txt"
+    path.write_text(" ".join(map(str, pi)), encoding="utf-8")
+    m = sum(map(len, inversions(pi)))
+    cli._parser()  # built once per process, not per command
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Sink()):
+            code = main(["perm", "--json", "--color", "--verify", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and m > 90_000
+    assert peak < 56 * m, peak / m
+
+
+def test_sci_color_peaks_near_its_colors(tmp_path):
+    """A join of two 300-vertex trees: 90,598 edges, nearly all with a
+    color of their own.  sci --color holds 4 bytes per edge and per color
+    of the palette, not an int object per color."""
+    rng = random.Random(5)
+    leaves = [random_labeled_tree(300, rng) for _ in range(2)]
+    path = tmp_path / "join.json"
+    path.write_text(json.dumps({"type": "join", "children": [
+        {"type": "tree", "n": t.n, "edges": [list(e) for e in t.edges]} for t in leaves
+    ]}), encoding="utf-8")
+    cli._parser()  # built once per process, not per command
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Sink()):
+            code = main(["sci", "--json", "--color", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = 300 * 300 + 2 * 299
+    assert code == 0
+    assert peak < 20 * m, peak / m
+
+
+def test_coloring_rows_are_written_a_block_at_a_time(monkeypatch):
+    written = []
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=written.append))
+    count = 3 * cli._ROW_BLOCK + 1
+
+    def rows():
+        for k in range(count):
+            # rows taken, less rows written, stay within one block
+            assert k - "".join(written).count("r") <= cli._ROW_BLOCK
+            yield "r"
+
+    cli._print_coloring(None, rows())
+    assert "".join(written) == "[" + ", ".join(["r"] * count) + "]\n"
+
+
+def test_main_answers_alike_on_later_calls(tmp_path):
+    """main builds its parser once per process; later calls, whatever
+    the command and flags before them, answer as first calls do."""
+    perm = tmp_path / "pi.txt"
+    perm.write_text("2 0 3 1\n", encoding="utf-8")
+    doc = tmp_path / "doc.json"
+    doc.write_text(JOIN_K2_K2, encoding="utf-8")
+    calls = [
+        ["perm", "--json", "--color", "--verify", str(perm)],
+        ["sci", "--verify", str(doc)],
+        ["im", "--json", str(doc)],
+        ["gen", "--seed", "2", "--count", "2", "--leaf-size", "3"],
+        ["oracle", "--budget", "1", str(doc)],
+        ["oracle", "--budget", "0", str(doc)],
+        ["sci", "--color", str(perm)],
+        ["perm", str(tmp_path / "missing.txt")],
+        ["perm", "--budget", "3", str(perm)],
+        ["perm", "--help"],
+        [],
+    ]
+
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return out.getvalue(), err.getvalue(), code
+
+    first = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        first.append(run(argv))
+    assert {code for _, _, code in first} == {0, 2, 3}
+    cli._parser.cache_clear()
+    assert [run(argv) for argv in calls] == first
+    assert [run(argv) for argv in reversed(calls)] == first[::-1]
+    assert cli._parser.cache_info().misses == 1
 
 
 def test_oracle_failed_permutation_verification_exits_one(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given
@@ -109,6 +110,15 @@ def test_is_strong_edge_coloring_memory_is_linear():
     assert peak < 64 << 20
 
 
+def test_interned_colors_share_one_int_per_color():
+    # each read of an array('i') past 255 makes a new int; a checker that
+    # keeps colors per vertex would hold one per read
+    coloring = StrongEdgeColoring(array("i", list(range(1000)) * 2))
+    assert coloring.colors[999] is not coloring.colors[1999]
+    shared = list(coloring.interned())
+    assert shared == list(coloring.colors) and shared[999] is shared[1999]
+
+
 def test_is_strong_edge_coloring_rejects_length_mismatch():
     with pytest.raises(GraphError, match="entries"):
         is_strong_edge_coloring(P4, StrongEdgeColoring((0, 1)))
@@ -147,7 +157,13 @@ def test_coloring_canonical_form():
     with pytest.raises(GraphError, match="palette_size"):
         StrongEdgeColoring((0, 1), palette_size=3)
     c = StrongEdgeColoring.from_colors([7, 3, 7, 0])
-    assert c.colors == (0, 1, 0, 2) and c.palette_size == 3
+    assert tuple(c.colors) == (0, 1, 0, 2) and c.palette_size == 3
+
+
+def _int_array(colors) -> array:
+    """The colors as the package stores them, an array('i'); 10**12 does
+    not fit in 32 bits, so colors with it go in an array('q')."""
+    return array("i" if all(abs(c) < 2**31 for c in colors) else "q", colors)
 
 
 @pytest.mark.parametrize(
@@ -166,17 +182,20 @@ def test_coloring_canonical_form():
     ],
 )
 def test_coloring_check_rejects_with_its_message(colors, palette_size, message):
-    with pytest.raises(GraphError) as info:
-        StrongEdgeColoring(colors, palette_size)
-    assert str(info.value) == message
+    for kind in (tuple, _int_array):
+        with pytest.raises(GraphError) as info:
+            StrongEdgeColoring(kind(colors), palette_size)
+        assert str(info.value) == message
 
 
 def test_coloring_check_accepts_and_defaults_the_palette():
-    assert StrongEdgeColoring(()).palette_size == 0
-    assert StrongEdgeColoring((), 0).colors == ()
-    assert StrongEdgeColoring((1, 0, 1, 2)).palette_size == 3
-    assert StrongEdgeColoring((0, 0, 0), 1).palette_size == 1
-    assert StrongEdgeColoring(tuple(range(500))[::-1]).palette_size == 500
+    for kind in (tuple, _int_array):
+        assert StrongEdgeColoring(kind(())).palette_size == 0
+        empty = kind(())
+        assert StrongEdgeColoring(empty, 0).colors is empty
+        assert StrongEdgeColoring(kind((1, 0, 1, 2))).palette_size == 3
+        assert StrongEdgeColoring(kind((0, 0, 0)), 1).palette_size == 1
+        assert StrongEdgeColoring(kind(tuple(range(500))[::-1])).palette_size == 500
 
 
 def test_induced_matching_checker():

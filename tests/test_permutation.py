@@ -1,5 +1,7 @@
 import itertools
 import random
+import tracemalloc
+from array import array
 
 import hypothesis.strategies as st
 import pytest
@@ -128,13 +130,33 @@ def test_trapezoids_intersect_is_symmetric_on_cases():
 def test_greedy_coloring_examples():
     d = PermutationDiagram(4, (1, 0, 3, 2))
     c = greedy_trapezoid_coloring(d.pi, inversions(d.pi))
-    assert c.colors == (0, 0) and c.palette_size == 1
+    assert tuple(c.colors) == (0, 0) and c.palette_size == 1
 
     k3 = PermutationDiagram(3, (2, 1, 0))
     c3 = greedy_trapezoid_coloring(k3.pi, inversions(k3.pi))
     assert sorted(c3.colors) == [0, 1, 2]
 
     assert greedy_trapezoid_coloring((), []).palette_size == 0
+
+
+def test_sweep_keeps_four_bytes_per_edge():
+    # on random input the palette is about two thirds of m: a tuple of
+    # ints kept 8 bytes per edge and an int object per color
+    pi = list(range(400))
+    random.Random(11).shuffle(pi)
+    pi = tuple(pi)
+    later = inversions(pi)
+    m = sum(map(len, later))
+    tracemalloc.start()
+    try:
+        coloring = greedy_trapezoid_coloring(pi, later)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(coloring.colors, array) and coloring.colors.itemsize == 4
+    assert coloring.palette_size > m // 2
+    # a few kB over 4m: freed lists the interpreter keeps for reuse
+    assert kept < 4 * m + 16384, kept - 4 * m
 
 
 def _tightest_fit_reference(traps):

@@ -91,7 +91,7 @@ def test_strong_coloring_examples():
         UnionNode(TreeLeaf(build_graph(2, [(0, 1)])), TreeLeaf(build_graph(2, [(0, 1)])))
     )
     cu = strong_coloring(u)
-    assert cu.colors == (0, 0) and cu.palette_size == 1
+    assert tuple(cu.colors) == (0, 0) and cu.palette_size == 1
 
     p = DecompositionTree(TreeLeaf(P4))
     cp = strong_coloring(p)
