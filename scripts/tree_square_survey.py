@@ -24,6 +24,7 @@ from strongedge import (
     square_of_linegraph,
     tree_from_prufer,
 )
+from strongedge.graph import adjacency
 
 
 def find_gem(rows):
@@ -47,13 +48,14 @@ def find_gem(rows):
 
 def tree_diameter(t):
     """Edges on a longest path: BFS to the farthest vertex, then again."""
+    adj = adjacency(t)
     end = 0
     for _ in range(2):
         dist = {end: 0}
         queue = deque([end])
         while queue:
             u = queue.popleft()
-            for w in t.adj[u]:
+            for w in adj[u]:
                 if w not in dist:
                     dist[w] = dist[u] + 1
                     queue.append(w)

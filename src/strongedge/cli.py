@@ -39,14 +39,20 @@ from .oracle import (
     square_of_linegraph,
     timed,
 )
+from . import permutation
 from .permutation import (
     PermutationError,
     inversions,
     is_chain_coloring,
     parse_permutation,
     permutation_graph,
-    strong_color_permutation,
 )
+
+# The commands build the inversion lists themselves, so they run the sweep
+# without strong_color_permutation's check of the lists.  They look the
+# sweep up in its module, where bench/spans.py traces it, and spans.py
+# still traces strong_color_permutation by this name here.
+from .permutation import strong_color_permutation  # noqa: F401
 from .strong_chromatic import sci, strong_coloring
 
 __all__ = ["main"]
@@ -58,24 +64,32 @@ def _read_input(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-# rows of the coloring formatted and written at a time
+# rows of a listing formatted and written at a time
 _ROW_BLOCK = 256
 
 
-def _print_coloring(out: dict | None, rows) -> None:
-    """Print the coloring's rows as a JSON list, byte for byte what
-    `json.dumps` gives for the row dicts, on a line of its own or, given
-    ``out``, as the last key of ``out``'s JSON object.  The rows are
-    taken and written a block at a time, so at most one block of them
-    and one copy of its text are held."""
+def _print_list(head: str, rows, tail: str) -> None:
+    """Write ``head``, the formatted ``rows`` as one JSON list, byte for
+    byte what `json.dumps` gives for the values they format, and ``tail``.
+    The rows are taken and written a block at a time, so at most one
+    block of them and one copy of its text are held."""
     write = sys.stdout.write
-    write("[" if out is None else json.dumps(out)[:-1] + ', "coloring": [')
+    write(head + "[")
     sep = ""
     while block := list(islice(rows, _ROW_BLOCK)):
         write(sep)
         write(", ".join(block))
         sep = ", "
-    write("]\n" if out is None else "]}\n")
+    write("]" + tail)
+
+
+def _print_coloring(out: dict | None, rows) -> None:
+    """Print the coloring's rows on a line of their own or, given ``out``,
+    as the last key of ``out``'s JSON object."""
+    if out is None:
+        _print_list("", rows, "\n")
+    else:
+        _print_list(json.dumps(out)[:-1] + ', "coloring": ', rows, "}\n")
 
 
 def _rows(edges, colors):
@@ -139,24 +153,19 @@ def cmd_sci(args) -> int:
 def cmd_im(args) -> int:
     tree = parse_decomposition(_read_input(args.input))
     result = im(tree)
-    out = {
-        "command": "im",
-        "n": tree.n,
-        "m": tree.m,
-        "value": result.value,
-        "witness": result.witness,
-    }
     if args.verify:
         if len(result.witness) != result.value:
             raise _VerificationFailed("witness size does not match the value")
         if not is_induced_matching_in(tree, result.witness):
             raise _VerificationFailed("witness is not an induced matching")
-        out["verified"] = True
+    pairs = (f"[{u}, {v}]" for u, v in result.witness)
     if args.json:
-        print(json.dumps(out))
+        out = {"command": "im", "n": tree.n, "m": tree.m, "value": result.value}
+        tail = ', "verified": true}\n' if args.verify else "}\n"
+        _print_list(json.dumps(out)[:-1] + ', "witness": ', pairs, tail)
     else:
         print(f"maximum induced matching: {result.value}")
-        print(f"witness: {json.dumps(result.witness)}")
+        _print_list("witness: ", pairs, "\n")
         if args.verify:
             print("witness verified: induced matching of the stated size")
     return 0
@@ -165,7 +174,7 @@ def cmd_im(args) -> int:
 def cmd_perm(args) -> int:
     diagram = parse_permutation(_read_input(args.input))
     later = inversions(diagram.pi)
-    coloring = strong_color_permutation(diagram, later)
+    coloring = permutation.greedy_trapezoid_coloring(diagram.pi, later)
     out = {
         "command": "perm",
         "n": diagram.n,
@@ -224,7 +233,7 @@ def _oracle_permutation(text: str, budget: int | None) -> list[OracleReport]:
     g = permutation_graph(diagram)
     sq = square_of_linegraph(g)
     desc = f"permutation(n={g.n},m={g.m})"
-    coloring = strong_color_permutation(diagram, later)
+    coloring = permutation.greedy_trapezoid_coloring(diagram.pi, later)
     # both verifiers must accept, so the oracle keeps them in agreement
     if not (
         is_chain_coloring(diagram, later, coloring) and is_strong_edge_coloring(g, coloring)

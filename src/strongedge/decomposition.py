@@ -20,7 +20,16 @@ from dataclasses import dataclass, field
 from itertools import chain, groupby, repeat
 from operator import mul
 
-from .graph import Graph, GraphError, bfs_tree, build_graph, clipped_repr, is_tree, nonedges
+from .graph import (
+    Graph,
+    GraphError,
+    adjacency,
+    bfs_tree,
+    build_graph,
+    clipped_repr,
+    is_tree,
+    nonedges,
+)
 
 __all__ = [
     "DecompositionError",
@@ -217,10 +226,13 @@ def parse_decomposition(text: str) -> DecompositionTree:
     Leaves are `{"type":"tree"|"cotree","n":<int>,"edges":[[u,v],...]}`,
     internal nodes `{"type":"join"|"union","children":[...]}` with two or
     more children; extra children fold into a left-leaning binary chain
-    (both operations are associative).
+    (both operations are associative).  Each JSON object is converted by
+    `_node_from_obj` as `json.loads` closes it, so the JSON of a node is
+    freed as soon as the node is built and the whole document never exists
+    as Python objects.
     """
     try:
-        obj = json.loads(text)
+        root = json.loads(text, object_hook=_node_from_obj)
     except RecursionError:
         raise DecompositionError("document nesting is too deep") from None
     except json.JSONDecodeError as exc:
@@ -229,65 +241,88 @@ def parse_decomposition(text: str) -> DecompositionTree:
         ) from None
     except ValueError:  # an integer past the interpreter's digit limit
         raise DecompositionError("invalid JSON: an integer is too long") from None
-    return DecompositionTree(_node_from_obj(obj))
+    if not isinstance(root, _NODES):
+        if not isinstance(root, _Rejected):
+            root = _Rejected("expected an object", [])
+        raise DecompositionError(root.error())
+    return DecompositionTree(root)
 
 
-def _node_from_obj(obj) -> DecompNode:
-    # Each child is popped off its parent's children list as it is pushed,
-    # and an internal node's entry keeps only its class and child count,
-    # so every JSON node is freed once it is converted: the document
-    # shrinks as the tree grows.  An entry is (object, i, 0) for a node to
-    # convert, i its index among its parent's children (-1 at the root), or
-    # (JoinNode or UnionNode, i, k) for one whose k converted children are
-    # the last k results.  The entries with a k are the ancestors of the
-    # node at hand, so an error's JSON path is built from their indices.
-    results: list[DecompNode] = []
-    stack: list[tuple] = [(obj, -1, 0)]
-    try:
-        while stack:
-            o, i, k = stack.pop()
-            if k:
-                children = results[len(results) - k :]
-                del results[len(results) - k :]
-                node: DecompNode = o(children[0], children[1])
-                for extra in children[2:]:
-                    node = o(node, extra)
-                results.append(node)
-                continue
-            if not isinstance(o, dict):
-                raise DecompositionError("expected an object")
-            kind = o.get("type")
-            if kind in ("tree", "cotree"):
-                results.append(_leaf_from_obj(o))
-            elif kind in ("join", "union"):
-                extra_keys = set(o) - {"type", "children"}
-                if extra_keys:
-                    raise _unexpected_keys(extra_keys)
-                children = o.get("children")
-                if not isinstance(children, list) or len(children) < 2:
-                    raise DecompositionError(
-                        "'children' must be a list of at least two nodes"
-                    )
-                stack.append((JoinNode if kind == "join" else UnionNode, i, len(children)))
-                for j in range(len(children) - 1, -1, -1):
-                    stack.append((children.pop(), j, 0))
-            elif kind is None:
-                raise DecompositionError("missing 'type'")
-            else:
-                raise DecompositionError(f"unknown node type {clipped_repr(kind)}")
-    except DecompositionError as exc:
-        # the message is about the node, or about a part of it if it starts
-        # with "."; a path that would push the CLI's "error: " line past 200
-        # bytes is cut in the middle
-        message = str(exc) if str(exc).startswith(".") else f": {exc}"
-        indices = [j for _, j, k in stack if k] + [i]
-        path = "$" + "".join(f".children[{j}]" for j in indices if j >= 0)
+@dataclass(eq=False, slots=True)
+class _Rejected:
+    """What `_node_from_obj` returns for an object it rejects: the message,
+    and the child indices on the way down to the object, which each parent
+    adds as it closes.  Only a rejection met where a node belongs becomes
+    the document's error; in any other place it is a value like any other,
+    as a converted node is."""
+
+    message: str
+    indices: list[int]
+
+    def error(self) -> str:
+        """The message after the object's JSON path.  The message is about
+        the object, or about a part of it if it starts with "."; a path that
+        would push the CLI's "error: " line past 200 bytes is cut in the
+        middle."""
+        message = self.message if self.message.startswith(".") else f": {self.message}"
+        path = "$" + "".join(f".children[{j}]" for j in reversed(self.indices))
         room = max(192 - len(message.encode()), 5)
         if len(path) > room:
             half = (room - 3) // 2
             path = path[:half] + "..." + path[-half:]
-        raise DecompositionError(path + message) from None
-    return results[0]
+        return path + message
+
+
+def _node_from_obj(obj: dict) -> DecompNode | _Rejected:
+    """The object hook of `parse_decomposition`: the node of a JSON object
+    whose children have already been converted, or a `_Rejected`.  A node's
+    own faults come before its children's, and a child's before those of
+    the children right of it, as in a walk of the document in pre-order."""
+    kind = obj.get("type")
+    try:
+        if kind in ("tree", "cotree"):
+            return _leaf_from_obj(obj)
+        if kind not in ("join", "union"):
+            if kind is None:
+                raise DecompositionError("missing 'type'")
+            if _holds_object(kind):
+                # the object was converted already and cannot be quoted
+                raise DecompositionError(
+                    "'type' holds an object; it must be 'tree', 'cotree', 'join' or 'union'"
+                )
+            raise DecompositionError(f"unknown node type {clipped_repr(kind)}")
+        extra_keys = set(obj) - {"type", "children"}
+        if extra_keys:
+            raise _unexpected_keys(extra_keys)
+        children = obj.get("children")
+        if not isinstance(children, list) or len(children) < 2:
+            raise DecompositionError("'children' must be a list of at least two nodes")
+    except DecompositionError as exc:
+        return _Rejected(str(exc), [])
+    for j, child in enumerate(children):
+        if not isinstance(child, _NODES):
+            if not isinstance(child, _Rejected):
+                child = _Rejected("expected an object", [])
+            child.indices.append(j)
+            return child
+    op = JoinNode if kind == "join" else UnionNode
+    node = op(children[0], children[1])
+    for extra in children[2:]:
+        node = op(node, extra)
+    return node
+
+
+def _holds_object(value) -> bool:
+    """True iff the JSON value is an object or a list holding one at any
+    depth, seen as `_node_from_obj` converted them."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
+        elif isinstance(v, (*_NODES, _Rejected)):
+            return True
+    return False
 
 
 def _unexpected_keys(extra: set) -> DecompositionError:
@@ -327,8 +362,9 @@ def _leaf_from_obj(obj: dict) -> DecompNode:
         if u < 0 or v >= n:
             in_range = False
         pairs.append((u, v))
-    # Checked before any graph is built, which allocates n adjacency
-    # lists: an edgeless leaf with a huge n is a few bytes of document.
+    # Checked before the tree check, which allocates n union-find entries
+    # (and `build_graph` would): an edgeless leaf with a huge n is a few
+    # bytes of document.
     if len(pairs) != n - 1:
         raise DecompositionError("leaf graph is not a tree")
     leaf = TreeLeaf if obj["type"] == "tree" else CotreeLeaf
@@ -442,8 +478,9 @@ def is_induced_matching_in(tree: DecompositionTree, pairs) -> bool:
         off = offset[i]
         ends = [x - off for x in range(off, off + node.n) if partner[x] != -1]
         cotree = isinstance(node, CotreeLeaf)
+        adj = adjacency(node.t)
         for x in ends:
-            near = [w for w in node.t.adj[x] if partner[w + off] != -1]
+            near = [w for w in adj[x] if partner[w + off] != -1]
             inside = len(ends) - 1 - len(near) if cotree else len(near)
             if inside + joined[i] != 1:
                 return False
@@ -510,7 +547,7 @@ def is_strong_edge_coloring_in(tree: DecompositionTree, coloring) -> bool:
             continue
         here = at[off : off + node.n]
         inside = 0  # colors shared along the leaf's tree edges
-        tree_order, parent = bfs_tree(node.t)
+        tree_order, parent = bfs_tree(adjacency(node.t))
         # the search lists the children of each vertex together
         for p, kids in groupby(tree_order[1:], parent.__getitem__):
             have = set(here[p])

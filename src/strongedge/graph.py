@@ -32,29 +32,34 @@ class Graph:
     constructor trusts its edges: they must be distinct pairs ``(u, v)``
     with ``0 <= u < v < n``, as every graph this package builds itself is.
     Outside input goes through `build_graph`, which checks it.  Instances
-    are treated as immutable after construction.
+    are treated as immutable after construction.  A Graph keeps its edges
+    and nothing built from them: `adjacency` makes the neighbor lists for
+    a caller that needs them.
     """
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: list[tuple[int, int]]):
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
         self.n = n
         self.edges = edges
-        self.adj = adj
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def adjacency(g: Graph) -> list[list[int]]:
+    """The neighbors of each vertex of g, in edge order.  Built anew on
+    each call, in O(n + m): a Graph keeps only its edges, so a caller that
+    walks neighborhoods builds the lists once and passes them on."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
 
 
 def build_graph(n: int, edge_pairs) -> Graph:
@@ -85,24 +90,26 @@ def build_graph(n: int, edge_pairs) -> Graph:
 
 def nonedges(g: Graph) -> Iterator[tuple[int, int]]:
     """The pairs u < v that are not edges of g, in lexicographic order.
-    Holds one vertex's neighbors at a time."""
+    Holds g's adjacency lists and one vertex's neighbors as a set."""
+    adj = adjacency(g)
     for u in range(g.n):
-        nbrs = set(g.adj[u])
+        nbrs = set(adj[u])
         for v in range(u + 1, g.n):
             if v not in nbrs:
                 yield u, v
 
 
-def bfs_tree(g: Graph) -> tuple[list[int], list[int]]:
-    """Breadth-first order of the vertices reachable from vertex 0, and
-    each vertex's parent in that search (-1 at vertex 0 and at unreached
-    vertices).  A vertex's children follow its adjacency order."""
-    parent = [-1] * g.n
-    seen = [False] * g.n
+def bfs_tree(adj: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Breadth-first order of the vertices reachable from vertex 0 over
+    the adjacency lists ``adj``, and each vertex's parent in that search
+    (-1 at vertex 0 and at unreached vertices).  A vertex's children
+    follow its adjacency order."""
+    parent = [-1] * len(adj)
+    seen = [False] * len(adj)
     seen[0] = True
     order = [0]
     for u in order:
-        for w in g.adj[u]:
+        for w in adj[u]:
             if not seen[w]:
                 seen[w] = True
                 parent[w] = u
@@ -111,8 +118,29 @@ def bfs_tree(g: Graph) -> tuple[list[int], list[int]]:
 
 
 def is_tree(g: Graph) -> bool:
-    """True iff g is connected and acyclic (a single vertex counts)."""
-    return g.n > 0 and g.m == g.n - 1 and len(bfs_tree(g)[0]) == g.n
+    """True iff g is connected and acyclic (a single vertex counts).
+
+    Union-find over the edges, with no adjacency lists: n - 1 edges that
+    never join two vertices already connected leave one component.  An
+    edge whose ends are already connected closes a cycle, or is a loop or
+    a repeat, so n - 1 pairs in range pass only if they are distinct
+    non-loop edges of a tree."""
+    n = g.n
+    if n == 0 or len(g.edges) != n - 1:
+        return False
+    root = list(range(n))
+    for u, v in g.edges:
+        # find both roots, halving the paths on the way
+        while root[u] != u:
+            root[u] = root[root[u]]
+            u = root[u]
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        if u == v:
+            return False
+        root[u] = v
+    return True
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .decomposition import CotreeLeaf, DecompositionTree, TreeLeaf, UnionNode
-from .graph import Graph, bfs_tree, nonedges
+from .graph import Graph, adjacency, bfs_tree, nonedges
 
 __all__ = ["InducedMatchingResult", "im"]
 
@@ -42,7 +42,8 @@ def _im_tree(t: Graph) -> list[tuple[int, int]]:
     vp.  Each p is taken at most once, so the pass is O(n).  t must be a
     tree; the caller checks.
     """
-    order, parent = bfs_tree(t)
+    adj = adjacency(t)
+    order, parent = bfs_tree(adj)
     free = [True] * t.n
     pairs: list[tuple[int, int]] = []
     for v in order[:0:-1]:
@@ -50,7 +51,7 @@ def _im_tree(t: Graph) -> list[tuple[int, int]]:
         if free[v] and free[p]:
             pairs.append((v, p) if v < p else (p, v))
             free[p] = False
-            for w in t.adj[p]:
+            for w in adj[p]:
                 free[w] = False
     pairs.reverse()
     return pairs

@@ -65,9 +65,9 @@ def square_of_linegraph(g: Graph) -> list[int]:
         incident[u] |= 1 << idx
         incident[v] |= 1 << idx
     near = incident[:]
-    for w, nbrs in enumerate(g.adj):
-        for x in nbrs:
-            near[w] |= incident[x]
+    for u, v in g.edges:
+        near[u] |= incident[v]
+        near[v] |= incident[u]
     return [(near[u] | near[v]) & ~(1 << i) for i, (u, v) in enumerate(g.edges)]
 
 

@@ -14,7 +14,7 @@ from array import array
 from dataclasses import dataclass
 
 from .decomposition import CotreeLeaf, DecompositionTree, JoinNode, TreeLeaf, UnionNode
-from .graph import Graph, StrongEdgeColoring, bfs_tree
+from .graph import Graph, StrongEdgeColoring, adjacency, bfs_tree
 
 # strong_coloring calls neither; bench/spans.py traces both by these names here.
 from .oracle import chordal_coloring, square_of_linegraph  # noqa: F401
@@ -35,7 +35,10 @@ def _sci_tree(t: Graph) -> int:
     """Strong chromatic index of a tree: max over edges of d(x)+d(y)-1."""
     if t.m == 0:
         return 0
-    deg = list(map(len, t.adj))
+    deg = [0] * t.n
+    for u, v in t.edges:
+        deg[u] += 1
+        deg[v] += 1
     return max(deg[u] + deg[v] for u, v in t.edges) - 1
 
 
@@ -66,8 +69,8 @@ def _tree_leaf_coloring(t: Graph) -> list[int]:
     apart.  No color reaches max d(x)+d(y)-1.  color[v] is the color of the
     edge from v to its parent.
     """
-    adj = t.adj
-    order, parent = bfs_tree(t)
+    adj = adjacency(t)
+    order, parent = bfs_tree(adj)
     color = [0] * t.n
     for i, w in enumerate(adj[0]):
         color[w] = i

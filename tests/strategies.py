@@ -19,6 +19,7 @@ from strongedge import (
     random_labeled_tree,
     tree_from_prufer,
 )
+from strongedge.graph import adjacency
 
 
 @st.composite
@@ -46,13 +47,14 @@ def tree_diameter(t):
     Two BFS passes: the vertex farthest from any start is an end of a
     longest path, and the farthest vertex from that end is the other one.
     """
+    adj = adjacency(t)
     end = 0
     for _ in range(2):
         dist = {end: 0}
         queue = deque([end])
         while queue:
             u = queue.popleft()
-            for w in t.adj[u]:
+            for w in adj[u]:
                 if w not in dist:
                     dist[w] = dist[u] + 1
                     queue.append(w)

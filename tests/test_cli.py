@@ -272,12 +272,12 @@ def test_arbitrary_text_exits_0_or_2_without_a_traceback(argv, text):
 
 
 def test_perm_verify_rejects_a_bad_coloring(monkeypatch, capsys):
-    def merged(d, later):
+    def merged(pi, later):
         # edges (0,1), (0,3), (2,3) need three colors; (0,1) and (0,3) share 0
         assert later == [[1, 3], [], [3], []]
         return StrongEdgeColoring((0, 0, 1))
 
-    monkeypatch.setattr("strongedge.cli.strong_color_permutation", merged)
+    monkeypatch.setattr("strongedge.permutation.greedy_trapezoid_coloring", merged)
     feed(monkeypatch, "2 0 3 1")
     assert main(["perm", "--verify"]) == 1
     captured = capsys.readouterr()
@@ -352,7 +352,14 @@ def test_sci_coloring_rows_are_what_json_dumps_writes(doc, mode, monkeypatch, ca
     assert capsys.readouterr().out == want
 
 
-@pytest.mark.parametrize("doc", _DOCS, ids=["k4", "edgeless", "two-blocks", "gen"])
+# a union of 600 edges: a witness of more than two blocks of pairs
+_K2S = json.dumps({"type": "union", "children": [
+    {"type": "tree", "n": 2, "edges": [[0, 1]]} for _ in range(600)
+]})
+
+
+@pytest.mark.parametrize("doc", _DOCS + [_K2S],
+                         ids=["k4", "edgeless", "two-blocks", "gen", "many-pairs"])
 @pytest.mark.parametrize("mode", ["json", "text"])
 def test_im_output_is_what_json_dumps_writes(doc, mode, monkeypatch, capsys):
     tree = parse_decomposition(doc)
@@ -366,6 +373,22 @@ def test_im_output_is_what_json_dumps_writes(doc, mode, monkeypatch, capsys):
                 "witness verified: induced matching of the stated size\n")
     feed(monkeypatch, doc)
     assert main(["im", "--verify"] + (["--json"] if mode == "json" else [])) == 0
+    assert capsys.readouterr().out == want
+    if doc == _K2S:
+        assert len(witness) > 2 * cli._ROW_BLOCK
+
+
+@pytest.mark.parametrize("mode", ["json", "text"])
+def test_im_output_without_verify_is_what_json_dumps_writes(mode, monkeypatch, capsys):
+    result = im(parse_decomposition(_K2S))
+    witness = [list(e) for e in result.witness]
+    if mode == "json":
+        want = json.dumps({"command": "im", "n": 1200, "m": 600, "value": 600,
+                           "witness": witness}) + "\n"
+    else:
+        want = f"maximum induced matching: 600\nwitness: {json.dumps(witness)}\n"
+    feed(monkeypatch, _K2S)
+    assert main(["im"] + (["--json"] if mode == "json" else [])) == 0
     assert capsys.readouterr().out == want
 
 

@@ -13,6 +13,7 @@ from strongedge import (
     DecompositionError,
     DecompositionTree,
     GraphError,
+    Graph,
     StrongEdgeColoring,
     JoinNode,
     TreeLeaf,
@@ -34,6 +35,8 @@ from strongedge import (
     strong_coloring,
     tree_from_prufer,
 )
+from strongedge import decomposition
+from strongedge.graph import adjacency, clipped_repr
 
 from strategies import _bench_instance, decomposition_docs, decomposition_trees
 
@@ -64,7 +67,7 @@ def test_realize_union_and_cotree():
     star = '{"type":"cotree","n":4,"edges":[[0,1],[0,2],[0,3]]}'
     h = realize(parse_decomposition(star))
     # complement of a star: triangle on the leaves plus the isolated center
-    assert set(h.edges) == {(1, 2), (1, 3), (2, 3)} and h.degree(0) == 0
+    assert set(h.edges) == {(1, 2), (1, 3), (2, 3)} and h.n == 4
 
 def test_single_vertex_leaves():
     k1 = parse_decomposition('{"type":"tree","n":1,"edges":[]}')
@@ -382,8 +385,11 @@ def test_prufer_decode_covers_all_labeled_trees():
 def test_prufer_degree_property(n, data):
     seq = data.draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
     t = tree_from_prufer(n, seq)
-    for v in range(n):
-        assert t.degree(v) == seq.count(v) + 1
+    degree = [0] * n
+    for u, v in t.edges:
+        degree[u] += 1
+        degree[v] += 1
+    assert degree == [seq.count(v) + 1 for v in range(n)]
 
 
 def test_random_generators_are_deterministic():
@@ -411,8 +417,6 @@ def test_cotree_leaf_realizes_the_complement():
 
 
 def test_random_tree_cograph_stops_at_the_node_cap(monkeypatch):
-    from strongedge import decomposition
-
     nodes = len(random_tree_cograph(5, 6, 4).order)
     assert nodes > 1
     monkeypatch.setattr(decomposition, "_GEN_NODE_CAP", nodes)
@@ -422,9 +426,9 @@ def test_random_tree_cograph_stops_at_the_node_cap(monkeypatch):
         random_tree_cograph(5, 6, 4)
 
 
-def test_parse_peaks_near_the_tree_it_returns():
-    """Each JSON node is freed once it is converted, so the document and
-    the tree are never both whole in memory."""
+def _parse_4000_leaves():
+    """Parse a union of 4,000 random trees of 1 to 8 vertices under
+    tracemalloc: the tree, and the traced size and peak of the parse."""
     rng = random.Random(11)
     leaves = []
     for _ in range(4000):
@@ -439,10 +443,27 @@ def test_parse_peaks_near_the_tree_it_returns():
     finally:
         tracemalloc.stop()
     assert len(tree.order) == 7999
+    return tree, size, peak
+
+
+def test_parse_peaks_near_the_tree_it_returns():
+    """Each JSON node is freed once it is converted, so the document and
+    the tree are never both whole in memory."""
+    tree, size, peak = _parse_4000_leaves()
     assert peak <= 1.3 * size
 
 
-# --- the leaf reader against the route it replaced ---------------------------
+def test_parsed_tree_keeps_only_the_leaves_edges():
+    """A leaf holds its n and its edge tuples and no adjacency lists: about
+    118 bytes per vertex here, where leaves that kept their adjacency took
+    about 231."""
+    tree, size, _ = _parse_4000_leaves()
+    assert size <= 150 * tree.n, size / tree.n
+    leaf = tree.order[0]
+    assert not hasattr(leaf, "__dict__") and type(leaf.t) is Graph
+
+
+# --- the leaf reader and the parser against the routes they replaced --------
 
 
 def _reference_leaf(obj, path="$"):
@@ -521,10 +542,12 @@ def _malformed_leaf(rng):
 
 def _outcome(read, obj):
     try:
-        leaf = read(obj)
+        node = read(obj)
     except DecompositionError as exc:
         return "rejected", str(exc)
-    return type(leaf).__name__, leaf.t.n, leaf.t.edges
+    if isinstance(node, DecompositionTree):
+        return type(node).__name__, serialize_decomposition(node)
+    return type(node).__name__, node.t.n, node.t.edges
 
 
 def test_leaf_reader_matches_the_build_graph_route():
@@ -541,6 +564,145 @@ def test_leaf_reader_matches_the_build_graph_route():
                     "not a tree", "pair of integers", "positive integer",
                     "'edges' must be a list", "unexpected keys"):
         assert any(outcome in text for text in seen), outcome
+
+
+def _reference_walk(obj):
+    """The parser's walk before it converted objects as `json.loads`
+    closed them: an explicit stack over the whole loaded document, in
+    pre-order.  An entry is (object, i, 0) for a node to convert, i its
+    index among its parent's children (-1 at the root), or (JoinNode or
+    UnionNode, i, k) for one whose k converted children are the last k
+    results; the entries with a k are the ancestors of the node at hand,
+    so an error's JSON path is built from their indices."""
+    results = []
+    stack = [(obj, -1, 0)]
+    try:
+        while stack:
+            o, i, k = stack.pop()
+            if k:
+                children = results[len(results) - k :]
+                del results[len(results) - k :]
+                node = o(children[0], children[1])
+                for extra in children[2:]:
+                    node = o(node, extra)
+                results.append(node)
+                continue
+            if not isinstance(o, dict):
+                raise DecompositionError("expected an object")
+            kind = o.get("type")
+            if kind in ("tree", "cotree"):
+                results.append(decomposition._leaf_from_obj(o))
+            elif kind in ("join", "union"):
+                extra_keys = set(o) - {"type", "children"}
+                if extra_keys:
+                    raise decomposition._unexpected_keys(extra_keys)
+                children = o.get("children")
+                if not isinstance(children, list) or len(children) < 2:
+                    raise DecompositionError(
+                        "'children' must be a list of at least two nodes"
+                    )
+                stack.append((JoinNode if kind == "join" else UnionNode, i, len(children)))
+                for j in range(len(children) - 1, -1, -1):
+                    stack.append((children.pop(), j, 0))
+            elif kind is None:
+                raise DecompositionError("missing 'type'")
+            else:
+                raise DecompositionError(f"unknown node type {clipped_repr(kind)}")
+    except DecompositionError as exc:
+        message = str(exc) if str(exc).startswith(".") else f": {exc}"
+        indices = [j for _, j, k in stack if k] + [i]
+        path = "$" + "".join(f".children[{j}]" for j in indices if j >= 0)
+        room = max(192 - len(message.encode()), 5)
+        if len(path) > room:
+            half = (room - 3) // 2
+            path = path[:half] + "..." + path[-half:]
+        raise DecompositionError(path + message) from None
+    return DecompositionTree(results[0])
+
+
+def _json_nodes(obj):
+    """The objects of a document that sit where nodes belong, in pre-order."""
+    found, stack = [], [obj]
+    while stack:
+        o = stack.pop()
+        if isinstance(o, dict):
+            found.append(o)
+            children = o.get("children")
+            if isinstance(children, list):
+                stack.extend(reversed(children))
+    return found
+
+
+def _mutated_document(rng):
+    """A random_tree_cograph document with up to three random faults, each
+    on a node object or on the children list of one."""
+    def pick(values):
+        # a copy, so no object is shared between places or documents
+        return json.loads(json.dumps(rng.choice(values)))
+
+    t = random_tree_cograph(rng.getrandbits(32), rng.randint(0, 3), rng.randint(1, 5))
+    obj = json.loads(serialize_decomposition(t))
+    for _ in range(rng.randint(0, 3)):
+        o = rng.choice(_json_nodes(obj))
+        children = o.get("children")
+        fault = rng.randrange(6)
+        if fault == 0:
+            o["type"] = pick(_ODD_VALUES + ["leaf", "tree", "cotree", "join", "union",
+                                            {"type": "tree"}, [[{}]], "x" * 100])
+        elif fault == 1:
+            o.pop(rng.choice(["type", "n", "edges", "children"]), None)
+        elif fault == 2:
+            o[rng.choice(["extra", "children", "n", "edges", "k" * 70])] = pick(_ODD_VALUES)
+        elif fault == 3 and isinstance(children, list) and children:
+            children[rng.randrange(len(children))] = pick(_ODD_VALUES + [3, "s"])
+        elif fault == 4 and isinstance(children, list):
+            if rng.random() < 0.5:
+                del children[1:]
+            else:
+                children.append(pick(_json_nodes(obj)))
+        elif "edges" in o:
+            o.clear()
+            o.update(json.loads(json.dumps(_malformed_leaf(rng))))
+    return json.dumps(obj)
+
+
+def test_parser_matches_the_walk_it_replaced():
+    """Outcomes and messages agree on mutated documents but for one case:
+    a "type" that holds an object, which `json.loads` hands the parser
+    already converted, so it cannot be quoted."""
+    rng = random.Random(22)
+    seen = set()
+    held = 0
+    for _ in range(20_000):
+        text = _mutated_document(rng)
+        got = _outcome(parse_decomposition, text)
+        want = _outcome(_reference_walk, json.loads(text))
+        if got != want and "'type' holds an object" in got[-1]:
+            # the walk quoted the loaded value, an object or a list holding one
+            assert want[0] == "rejected" and "unknown node type " in want[1], (text, want)
+            assert want[1].split(": unknown node type ")[0] == got[1].split(": '")[0]
+            held += 1
+            continue
+        assert got == want, text
+        seen.add(got[1] if got[0] == "rejected" else got[0])
+    assert held > 0
+    for outcome in ("DecompositionTree", "expected an object", "missing 'type'",
+                    "unknown node type", "at least two nodes", "unexpected keys",
+                    ".edges[", "positive integer", "not a tree", "$.children[0].children["):
+        assert any(outcome in text for text in seen), outcome
+
+
+def test_a_type_that_holds_an_object_is_named_so():
+    message = "'type' holds an object; it must be 'tree', 'cotree', 'join' or 'union'"
+    for kind in ('{}', '{"type":"tree","n":1,"edges":[]}', '[1, [{}]]'):
+        doc = f'{{"type":"union","children":[{K2_LEAF},{{"type":{kind}}}]}}'
+        with pytest.raises(DecompositionError) as exc:
+            parse_decomposition(doc)
+        assert str(exc.value) == "$.children[1]: " + message
+    # a rejected object in any place but a node's is only a value
+    doc = '{"type":"tree","n":1,"edges":[],"extra":{"type":5}}'
+    with pytest.raises(DecompositionError, match=r"^\$: unexpected keys \['extra'\]$"):
+        parse_decomposition(doc)
 
 
 # --- the induced-matching check on the decomposition -------------------------
@@ -612,7 +774,7 @@ def test_induced_matching_in_agrees_with_the_realized_graph(t, data):
         # one witness edge replaced by an edge sharing one of its endpoints
         i = data.draw(st.integers(0, len(witness) - 1))
         w = data.draw(st.sampled_from(witness[i]))
-        x = data.draw(st.sampled_from(g.adj[w]))
+        x = data.draw(st.sampled_from(adjacency(g)[w]))
         _agree(t, g, witness[:i] + [(w, x)] + witness[i + 1 :])
     for node, off in t.placed():
         if isinstance(node, CotreeLeaf):

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from array import array
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given
@@ -25,7 +26,7 @@ from strongedge import (
     realize,
     square_of_linegraph,
 )
-from strongedge.graph import bfs_tree, nonedges
+from strongedge.graph import adjacency, bfs_tree, nonedges
 
 from strategies import graphs, trees
 
@@ -36,7 +37,7 @@ def test_build_graph_examples():
     assert P4.m == 3
     assert build_graph(1, []).m == 0
     k3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-    assert [k3.degree(v) for v in range(3)] == [2, 2, 2]
+    assert sorted(u for e in k3.edges for u in e) == [0, 0, 1, 1, 2, 2]
 
 
 def test_build_graph_normalizes_and_indexes_in_input_order():
@@ -135,10 +136,10 @@ def test_complement_examples():
 def test_bfs_tree_order_and_parents():
     # 0-1, 0-2, 1-3, 2-4 plus an isolated vertex 5
     g = build_graph(6, [(0, 2), (0, 1), (1, 3), (2, 4)])
-    assert bfs_tree(g) == ([0, 2, 1, 4, 3], [-1, 0, 0, 1, 2, -1])
+    assert bfs_tree(adjacency(g)) == ([0, 2, 1, 4, 3], [-1, 0, 0, 1, 2, -1])
     # a cycle is walked once
     k3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-    assert bfs_tree(k3) == ([0, 1, 2], [-1, 0, 0])
+    assert bfs_tree(adjacency(k3)) == ([0, 1, 2], [-1, 0, 0])
 
 
 def test_is_tree():
@@ -149,6 +150,41 @@ def test_is_tree():
     assert not is_tree(build_graph(4, [(0, 1), (2, 3)]))  # forest, not a tree
     # right edge count but disconnected (cycle plus isolated vertex)
     assert not is_tree(build_graph(4, [(0, 1), (1, 2), (0, 2)]))
+
+
+def _connected(n, pairs):
+    """Whether the pairs connect all n vertices, by a search from vertex 0."""
+    adj = [set() for _ in range(n)]
+    for u, v in pairs:
+        adj[u].add(v)
+        adj[v].add(u)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in adj[stack.pop()] - seen:
+            seen.add(w)
+            stack.append(w)
+    return len(seen) == n
+
+
+def test_is_tree_on_every_multiset_of_n_minus_1_pairs():
+    """n - 1 pairs that hold a loop or a repeat connect at most n - 1 of
+    the n vertices, so with that many pairs "connected" means "a tree",
+    loops and repeats included."""
+    for n in range(1, 7):
+        pairs = [(u, v) for u in range(n) for v in range(u, n)]
+        trees = 0
+        for chosen in combinations_with_replacement(pairs, n - 1):
+            verdict = is_tree(Graph(n, list(chosen)))
+            assert verdict == _connected(n, chosen), (n, chosen)
+            trees += verdict
+        assert trees == n ** max(n - 2, 0)  # Cayley's formula
+
+
+def test_graph_keeps_no_adjacency():
+    assert Graph.__slots__ == ("n", "edges")
+    g = build_graph(3, [(0, 1), (1, 2)])
+    assert adjacency(g) == [[1], [0, 2], [1]] and adjacency(g) is not adjacency(g)
 
 
 def test_coloring_canonical_form():
@@ -280,7 +316,7 @@ def test_graph_adjacency_is_what_build_graph_makes(g, data):
     flipped = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in g.edges]
     built = build_graph(g.n, flipped)
     trusted = Graph(g.n, list(g.edges))
-    assert trusted.edges == built.edges and trusted.adj == built.adj
+    assert trusted.edges == built.edges and adjacency(trusted) == adjacency(built)
 
 
 @given(graphs())
