@@ -25,9 +25,8 @@ from strongedge import (
     inversions,
     permutation_graph,
     square_of_linegraph,
-    trapezoid_model,
-    trapezoids_intersect,
 )
+from strongedge.permutation import trapezoid_model, trapezoids_intersect
 
 
 def first_fit_palette(traps) -> int:

@@ -17,14 +17,9 @@ import itertools
 import random
 from collections import deque
 
-from strongedge import (
-    is_chordal,
-    is_ptolemaic,
-    random_labeled_tree,
-    square_of_linegraph,
-    tree_from_prufer,
-)
+from strongedge import random_labeled_tree, square_of_linegraph, tree_from_prufer
 from strongedge.graph import adjacency
+from strongedge.oracle import is_chordal, is_ptolemaic
 
 
 def find_gem(rows):

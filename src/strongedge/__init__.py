@@ -6,9 +6,14 @@ trees, and `strong_color_permutation` colors permutation graphs.
 `strongedge.oracle` exists to falsify them: the exact solvers and the
 structural checks, which take graphs as bitset adjacency rows,
 `square_of_linegraph`, which builds L(G)^2 as those rows, and
-`complement`.  Only that module exports `adjacency_rows`, the rows of a
-plain Graph, and the chordal machinery (Lex-BFS, perfect elimination
-orderings, `chordal_coloring`).
+`complement`.  This package re-exports only `exact_chromatic_number`,
+`exact_max_independent_set` and `square_of_linegraph` of them; the
+clique search, `is_clique`, `is_chordal`, `is_ptolemaic`,
+`has_induced_cycle_at_least`, `complement`, `adjacency_rows` and the
+chordal machinery (Lex-BFS, perfect elimination orderings,
+`chordal_coloring`) come from `strongedge.oracle` only, and the
+trapezoid model (`Trapezoid`, `trapezoid_model`, `trapezoids_intersect`)
+from `strongedge.permutation` only.
 """
 
 from .decomposition import (
@@ -40,28 +45,19 @@ from .induced_matching import InducedMatchingResult, im
 from .oracle import (
     BudgetExceededError,
     OracleReport,
-    complement,
     exact_chromatic_number,
-    exact_max_clique,
     exact_max_independent_set,
-    has_induced_cycle_at_least,
-    is_chordal,
-    is_clique,
-    is_ptolemaic,
     square_of_linegraph,
 )
 from .permutation import (
     PermutationDiagram,
     PermutationError,
-    Trapezoid,
     greedy_trapezoid_coloring,
     inversions,
     is_chain_coloring,
     parse_permutation,
     permutation_graph,
     strong_color_permutation,
-    trapezoid_model,
-    trapezoids_intersect,
 )
 from .strong_chromatic import SChiResult, sci, strong_coloring
 
@@ -81,24 +77,17 @@ __all__ = [
     "PermutationError",
     "SChiResult",
     "StrongEdgeColoring",
-    "Trapezoid",
     "TreeLeaf",
     "UnionNode",
     "build_graph",
-    "complement",
     "exact_chromatic_number",
-    "exact_max_clique",
     "exact_max_independent_set",
     "greedy_trapezoid_coloring",
-    "has_induced_cycle_at_least",
     "im",
     "inversions",
     "is_chain_coloring",
-    "is_chordal",
-    "is_clique",
     "is_induced_matching",
     "is_induced_matching_in",
-    "is_ptolemaic",
     "is_strong_edge_coloring",
     "is_strong_edge_coloring_in",
     "is_tree",
@@ -113,7 +102,5 @@ __all__ = [
     "square_of_linegraph",
     "strong_color_permutation",
     "strong_coloring",
-    "trapezoid_model",
-    "trapezoids_intersect",
     "tree_from_prufer",
 ]

@@ -424,17 +424,19 @@ def realize(tree: DecompositionTree) -> Graph:
 def is_induced_matching_in(tree: DecompositionTree, pairs) -> bool:
     """True iff ``pairs`` is an induced matching of the graph the tree
     represents, the verdict `is_induced_matching` gives on `realize(tree)`,
-    in time and memory linear in the tree and the pairs.
+    in one bottom-up pass that keeps a partner per vertex and a stack as
+    deep as the tree.
 
     The endpoints must be distinct and in range, and each endpoint must
-    have exactly one neighbour among the endpoints: its partner.  A
-    vertex's neighbours outside its leaf are the vertices across each join
-    above it, so one pass up counts each node's endpoints and keeps one of
-    them, and one pass down sums, per node, the endpoints joined to it from
-    outside and keeps one.  Within a leaf, an endpoint's neighbours among
-    the endpoints are its tree neighbours, or the leaf's other endpoints
-    less those in a cotree leaf.  Per-node values are lists by post-order
-    position (see `DecompositionTree`), so a shared node counts per place.
+    have exactly one neighbour among the endpoints: its partner.  A join
+    makes every endpoint on one side a neighbour of every endpoint on the
+    other, so where both sides hold endpoints each must hold exactly one,
+    and the two must be partners.  Within a leaf, an endpoint's neighbours
+    among the endpoints are its tree neighbours, or the leaf's other
+    endpoints less those in a cotree leaf, and may only be its partner.
+    An endpoint that met its partner shares a subtree with it, which any
+    join above with endpoints on its other side rejects, so each endpoint
+    is counted at most once, and the pairs are induced iff all were.
     """
     n = tree.n
     partner = [-1] * n
@@ -445,55 +447,40 @@ def is_induced_matching_in(tree: DecompositionTree, pairs) -> bool:
             return False
         partner[u] = v
         partner[v] = u
-    order, left = tree.order, tree.left_pos
-    size = len(order)
-    count = [0] * size  # endpoints in the node's graph
-    some = [-1] * size  # one of them, or -1
-    offset = [0] * size
-    for i, (node, off) in enumerate(tree.placed()):
-        offset[i] = off
-        if isinstance(node, _Leaf):
-            for x in range(off, off + node.n):
-                if partner[x] != -1:
-                    count[i] += 1
-                    some[i] = x
-        else:
-            lf = left[i]
-            count[i] = count[lf] + count[i - 1]
-            some[i] = some[lf] if some[lf] != -1 else some[i - 1]
-    joined = [0] * size  # endpoints joined to the node from outside it
-    via = [-1] * size  # one of them, or -1
-    for i in range(size - 1, -1, -1):
-        node = order[i]
+    met = 0  # endpoints seen next to their partner
+    # the endpoint count and one endpoint of each subtree not yet given a parent
+    stack: list[tuple[int, int]] = []
+    for node, off in tree.placed():
         if isinstance(node, _Internal):
-            for child, other in ((left[i], i - 1), (i - 1, left[i])):
-                joined[child] = joined[i]
-                via[child] = via[i]
-                if isinstance(node, JoinNode) and count[other]:
-                    joined[child] += count[other]
-                    via[child] = some[other]
+            right, r_end = stack.pop()
+            left, l_end = stack.pop()
+            if left and right and isinstance(node, JoinNode):
+                if left != 1 or right != 1 or partner[l_end] != r_end:
+                    return False
+                met += 2
+            stack.append((left + right, l_end if left else r_end))
             continue
-        if not count[i]:
-            continue
-        off = offset[i]
         ends = [x - off for x in range(off, off + node.n) if partner[x] != -1]
+        stack.append((len(ends), ends[0] + off if ends else -1))
+        if not ends:
+            continue
         cotree = isinstance(node, CotreeLeaf)
         adj = adjacency(node.t)
         for x in ends:
             near = [w for w in adj[x] if partner[w + off] != -1]
             inside = len(ends) - 1 - len(near) if cotree else len(near)
-            if inside + joined[i] != 1:
+            if inside > 1:
                 return False
-            if joined[i]:
-                y = via[i]
-            elif cotree:
-                skip = {x, *near}
-                y = next(w for w in ends if w not in skip) + off
-            else:
-                y = near[0] + off
-            if partner[x + off] != y:
-                return False
-    return True
+            if inside:
+                if cotree:
+                    skip = {x, *near}
+                    y = next(w for w in ends if w not in skip)
+                else:
+                    y = near[0]
+                if partner[x + off] != y + off:
+                    return False
+                met += 1
+    return met == n - partner.count(-1)
 
 
 def is_strong_edge_coloring_in(tree: DecompositionTree, coloring) -> bool:

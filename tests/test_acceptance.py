@@ -15,17 +15,11 @@ from strongedge import (
     DecompositionTree,
     PermutationDiagram,
     TreeLeaf,
-    complement,
     exact_chromatic_number,
-    exact_max_clique,
     exact_max_independent_set,
-    has_induced_cycle_at_least,
     im,
     inversions,
-    is_chordal,
-    is_clique,
     is_induced_matching,
-    is_ptolemaic,
     is_strong_edge_coloring,
     permutation_graph,
     random_labeled_tree,
@@ -36,10 +30,17 @@ from strongedge import (
     strong_color_permutation,
     strong_coloring,
     tree_from_prufer,
-    trapezoid_model,
-    trapezoids_intersect,
 )
-from strongedge.oracle import adjacency_rows
+from strongedge.oracle import (
+    adjacency_rows,
+    complement,
+    exact_max_clique,
+    has_induced_cycle_at_least,
+    is_chordal,
+    is_clique,
+    is_ptolemaic,
+)
+from strongedge.permutation import trapezoid_model, trapezoids_intersect
 from strategies import _bench_instance, tree_diameter
 
 

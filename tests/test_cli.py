@@ -841,9 +841,12 @@ def test_public_names_resolve_and_removed_ones_are_gone():
         "sci_tree", "im_tree", "max_clique_exhaustive", "chromatic_number_exhaustive",
         "max_independent_set_exhaustive", "SquaredLinegraph", "PerfectEliminationError",
         "chordal_coloring", "lexbfs_order", "is_perfect_elimination_ordering",
+        "Trapezoid", "trapezoid_model", "trapezoids_intersect", "complement",
+        "exact_max_clique", "is_clique", "is_chordal", "is_ptolemaic",
+        "has_induced_cycle_at_least",
     ):
         assert name not in strongedge.__all__ and not hasattr(strongedge, name)
-    assert len(strongedge.__all__) == 48
+    assert len(strongedge.__all__) == 39
     assert importlib.util.find_spec("strongedge.chordal") is None
     for name in oracle.__all__:
         assert getattr(oracle, name) is not None, name

@@ -19,7 +19,6 @@ from strongedge import (
     TreeLeaf,
     UnionNode,
     build_graph,
-    complement,
     im,
     is_induced_matching,
     is_induced_matching_in,
@@ -37,6 +36,7 @@ from strongedge import (
 )
 from strongedge import decomposition
 from strongedge.graph import adjacency, clipped_repr
+from strongedge.oracle import complement
 
 from strategies import _bench_instance, decomposition_docs, decomposition_trees
 
@@ -265,7 +265,13 @@ def test_folds_run_on_hand_built_chains_10_5_deep():
         assert len(t.order) == 2 * depth + 1
         _assert_child_positions(t)
         assert sci(t).value == 1
-        assert im(t).value == depth + 1
+        result = im(t)
+        assert result.value == depth + 1
+        witness = result.witness
+        assert is_induced_matching_in(t, witness)
+        # 0 and 2 are in different leaves of a union: not an edge
+        assert not is_induced_matching_in(t, ((0, 2),) + witness[1:])
+        assert not is_induced_matching_in(t, ((0, 2),) + witness[2:])
         assert realize(t).m == depth + 1
 
 
@@ -461,6 +467,22 @@ def test_parsed_tree_keeps_only_the_leaves_edges():
     assert size <= 150 * tree.n, size / tree.n
     leaf = tree.order[0]
     assert not hasattr(leaf, "__dict__") and type(leaf.t) is Graph
+
+
+def test_induced_matching_check_peaks_near_a_slot_per_vertex():
+    """The check keeps a partner per vertex and a stack as deep as the
+    tree, and no list per node: about 8 bytes per vertex here, where the
+    two passes over five per-node lists took about 45."""
+    tree, _, _ = _parse_4000_leaves()
+    witness = im(tree).witness
+    tracemalloc.start()
+    try:
+        verdict = is_induced_matching_in(tree, witness)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict is True
+    assert peak <= 16 * tree.n, peak / tree.n
 
 
 # --- the leaf reader and the parser against the routes they replaced --------
@@ -741,7 +763,10 @@ def test_induced_matching_in_examples():
 
 
 def test_induced_matching_in_on_every_two_pair_set():
-    """Every set of at most two vertex pairs of 40 small decompositions."""
+    """Every set of at most two vertex pairs of 40 small decompositions,
+    200 random sets of 3 to 6 of their edges, and the witness with one
+    pair dropped, reversed or moved across a union."""
+    rng = random.Random(5)
     checked = 0
     seed = 0
     while checked < 40:
@@ -752,11 +777,26 @@ def test_induced_matching_in_on_every_two_pair_set():
         checked += 1
         g = realize(t)
         pairs = [(u, v) for u in range(t.n) for v in range(u + 1, t.n)]
-        _agree(t, g, list(im(t).witness))
         for a in pairs:
             _agree(t, g, [a])
             for b in pairs:
                 _agree(t, g, [a, b])
+        for _ in range(200):
+            _agree(t, g, rng.sample(g.edges, min(rng.randint(3, 6), g.m)))
+        witness = list(im(t).witness)
+        _agree(t, g, witness)
+        for i, (u, v) in enumerate(witness):
+            _agree(t, g, witness[:i] + witness[i + 1 :])
+            _agree(t, g, witness[:i] + [(v, u)] + witness[i + 1 :])
+            for node, off in t.placed():
+                if isinstance(node, UnionNode) and off <= v < off + node.n:
+                    # a vertex on the union's other side from v
+                    mid = off + node.left.n
+                    if v < mid:
+                        w = mid + (v - off) % node.right.n
+                    else:
+                        w = off + (v - mid) % node.left.n
+                    _agree(t, g, witness[:i] + [(u, w)] + witness[i + 1 :])
 
 
 @settings(max_examples=200)

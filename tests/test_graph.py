@@ -17,7 +17,6 @@ from strongedge import (
     StrongEdgeColoring,
     TreeLeaf,
     build_graph,
-    complement,
     is_induced_matching,
     is_strong_edge_coloring,
     is_tree,
@@ -27,6 +26,7 @@ from strongedge import (
     square_of_linegraph,
 )
 from strongedge.graph import adjacency, bfs_tree, nonedges
+from strongedge.oracle import complement
 
 from strategies import graphs, trees
 

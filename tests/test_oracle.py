@@ -10,12 +10,7 @@ from strongedge import (
     PermutationDiagram,
     build_graph,
     exact_chromatic_number,
-    exact_max_clique,
     exact_max_independent_set,
-    has_induced_cycle_at_least,
-    is_chordal,
-    is_clique,
-    is_ptolemaic,
     permutation_graph,
     random_labeled_tree,
     square_of_linegraph,
@@ -23,6 +18,11 @@ from strongedge import (
 from strongedge.oracle import (
     adjacency_rows,
     chromatic_number_exhaustive,
+    exact_max_clique,
+    has_induced_cycle_at_least,
+    is_chordal,
+    is_clique,
+    is_ptolemaic,
     max_clique_exhaustive,
     max_independent_set_exhaustive,
     timed,

@@ -11,9 +11,7 @@ from strongedge import (
     PermutationDiagram,
     PermutationError,
     StrongEdgeColoring,
-    Trapezoid,
     exact_chromatic_number,
-    exact_max_clique,
     greedy_trapezoid_coloring,
     inversions,
     is_chain_coloring,
@@ -22,9 +20,9 @@ from strongedge import (
     permutation_graph,
     square_of_linegraph,
     strong_color_permutation,
-    trapezoid_model,
-    trapezoids_intersect,
 )
+from strongedge.oracle import exact_max_clique
+from strongedge.permutation import Trapezoid, trapezoid_model, trapezoids_intersect
 
 from strategies import permutation_diagrams
 

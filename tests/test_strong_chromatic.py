@@ -13,9 +13,7 @@ from strongedge import (
     TreeLeaf,
     UnionNode,
     build_graph,
-    complement,
     exact_chromatic_number,
-    exact_max_clique,
     im,
     is_strong_edge_coloring,
     parse_decomposition,
@@ -27,6 +25,7 @@ from strongedge import (
     tree_from_prufer,
 )
 from strongedge import oracle, strong_chromatic
+from strongedge.oracle import complement, exact_max_clique
 
 from strategies import decomposition_trees, trees
 
