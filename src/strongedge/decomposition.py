@@ -7,6 +7,8 @@ cotree leaf describes Theta(n^2) edges with an O(n) tree, which is what
 makes the index computations linear.  `realize` materializes the graph for
 the oracle and small instances only; `is_induced_matching_in` and
 `is_strong_edge_coloring_in` check certificates on the decomposition itself.
+Both rest on one fact: a join makes every vertex on one side a neighbour
+of every vertex on the other, and no edge crosses a union.
 """
 
 from __future__ import annotations
@@ -14,17 +16,15 @@ from __future__ import annotations
 import json
 import random
 from array import array
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import chain, groupby, repeat
-from operator import mul
+from itertools import islice
 
 from .graph import (
     Graph,
     GraphError,
+    _is_strong,
     adjacency,
-    bfs_tree,
     build_graph,
     clipped_repr,
     is_tree,
@@ -487,29 +487,24 @@ def is_strong_edge_coloring_in(tree: DecompositionTree, coloring) -> bool:
     """True iff ``coloring``, by edge index in `DecompositionTree.edges`
     order, is a strong edge coloring of the graph the tree represents: the
     verdict `is_strong_edge_coloring` gives on `realize(tree)`, with no
-    `Graph`, no list of edges and no set per vertex kept.
+    `Graph` and no list of edges built.
 
-    With C(x) the colors at vertex x, a coloring is strong iff the colors
-    at each vertex are distinct and the edges xy have |C(x) & C(y)| = 1
-    each, their own color, so sum m together.  That sum is the sum over
-    colors c of the edges induced by the class's endpoints, and it splits
-    over the tree: inside a leaf, the colors shared along its tree edges,
-    or for a cotree leaf the sum over c of C(s_c, 2) less those, where s_c
-    counts the leaf's vertices with color c; at a join, the sum over c of
-    s_c(left) * s_c(right).  The counts s_c are kept only for the subtrees
-    below a join, and merged small into large up to it.  Memory is the
-    colors at each vertex, 2m references to one int object per color, and
-    the counts.
+    Two edges conflict, sharing a vertex or joined by an edge, according
+    to the graph of the lowest node holding both, which their endpoints
+    induce.  In a cotree leaf they always do: disjoint edges ab and cd of
+    the complement with no edge between them would make a-c-b-d-a a cycle
+    of the tree.  So do any two across a join, and none across a union.
+    The coloring is thus strong iff each tree leaf's colors are strong on
+    its tree, each cotree leaf's colors are distinct, and at each join the
+    colors of the left subtree, of the right subtree and of the cross
+    edges are disjoint, with the cross colors distinct.  One post-order
+    pass reads the colors a node's block at a time, as `edges` lists them,
+    and keeps the color set of each subtree below a join, merged small
+    into large up to it.
     """
     colors = coloring.colors
     if len(colors) != tree.m:
         raise GraphError(f"coloring has {len(colors)} entries for {tree.m} edges")
-    at: list[list[int]] = [[] for _ in range(tree.n)]
-    for (u, v), c in zip(tree.edges(), coloring.interned()):
-        at[u].append(c)
-        at[v].append(c)
-    if sum(map(len, map(set, at))) != 2 * tree.m:
-        return False  # a color repeats at some vertex
     order, left = tree.order, tree.left_pos
     below_join = bytearray(len(order))
     for i in range(len(order) - 1, -1, -1):
@@ -517,38 +512,35 @@ def is_strong_edge_coloring_in(tree: DecompositionTree, coloring) -> bool:
             below_join[left[i]] = below_join[i - 1] = (
                 below_join[i] or isinstance(order[i], JoinNode)
             )
-    shared = 0  # sum over the edges xy of |C(x) & C(y)|
-    counts: list[Counter | None] = []  # s_c of each subtree not yet given a parent
-    for i, (node, off) in enumerate(tree.placed()):
-        if isinstance(node, _Internal):
-            small, large = counts.pop(), counts.pop()
-            if below_join[i - 1]:  # so are both children, which have counts
-                if len(small) > len(large):
-                    small, large = large, small
-                if isinstance(node, JoinNode):
-                    across = map(large.get, small, repeat(0))
-                    shared += sum(map(mul, small.values(), across))
-                if below_join[i]:
-                    large.update(small)
-            counts.append(large if below_join[i] else None)
+    unread = coloring.interned()  # taken a node's block at a time
+    sets: list[set | None] = []  # of each subtree not yet given a parent
+    for i, node in enumerate(order):
+        if isinstance(node, _Leaf):
+            here = islice(unread, node.m)
+            if below_join[i]:
+                here = list(here)  # read twice: for the rule and for the set
+            if isinstance(node, CotreeLeaf):
+                if len(set(here)) != node.m:
+                    return False
+            elif not _is_strong(node.t, here):
+                return False
+            sets.append(set(here) if below_join[i] else None)
             continue
-        here = at[off : off + node.n]
-        inside = 0  # colors shared along the leaf's tree edges
-        tree_order, parent = bfs_tree(adjacency(node.t))
-        # the search lists the children of each vertex together
-        for p, kids in groupby(tree_order[1:], parent.__getitem__):
-            have = set(here[p])
-            below = chain.from_iterable(map(here.__getitem__, kids))
-            inside += sum(map(have.__contains__, below))
-        count = None
-        if below_join[i] or isinstance(node, CotreeLeaf):
-            count = Counter(chain.from_iterable(here))
-        if isinstance(node, CotreeLeaf):
-            s_c = count.values()
-            inside = (sum(map(mul, s_c, s_c)) - sum(s_c)) // 2 - inside
-        shared += inside
-        counts.append(count if below_join[i] else None)
-    return shared == tree.m
+        small, large = sets.pop(), sets.pop()
+        if large is None:  # and so is small: no join above this union
+            sets.append(None)
+            continue
+        if len(small) > len(large):
+            small, large = large, small
+        size = len(small) + len(large)
+        large |= small
+        if isinstance(node, JoinNode):
+            cross = node.left.n * node.right.n
+            large.update(islice(unread, cross))
+            if len(large) != size + cross:
+                return False
+        sets.append(large if below_join[i] else None)
+    return True
 
 
 def tree_from_prufer(n: int, seq: list[int]) -> Graph:

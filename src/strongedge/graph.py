@@ -211,8 +211,14 @@ def is_strong_edge_coloring(g: Graph, coloring: StrongEdgeColoring) -> bool:
     colors = coloring.colors
     if len(colors) != g.m:
         raise GraphError(f"coloring has {len(colors)} entries for {g.m} edges")
+    return _is_strong(g, coloring.interned())
+
+
+def _is_strong(g: Graph, colors) -> bool:
+    """`is_strong_edge_coloring` on the colors of g's edges, in edge order;
+    it takes no color past the g.m-th, as the zip asks g.edges first."""
     at: list[set[int]] = [set() for _ in range(g.n)]
-    for (u, v), c in zip(g.edges, coloring.interned()):
+    for (u, v), c in zip(g.edges, colors):
         if c in at[u] or c in at[v]:
             return False
         at[u].add(c)

@@ -273,6 +273,13 @@ def test_folds_run_on_hand_built_chains_10_5_deep():
         assert not is_induced_matching_in(t, ((0, 2),) + witness[1:])
         assert not is_induced_matching_in(t, ((0, 2),) + witness[2:])
         assert realize(t).m == depth + 1
+        assert is_strong_edge_coloring_in(t, strong_coloring(t))
+        # under a join, each of the 10^5 unions merges its children's colors
+        joined = DecompositionTree(JoinNode(node, TreeLeaf(k2)))
+        colors = list(strong_coloring(joined).colors)
+        assert is_strong_edge_coloring_in(joined, StrongEdgeColoring.from_colors(colors))
+        colors[-1] = colors[0]  # the last cross edge in the first leaf's color
+        assert not is_strong_edge_coloring_in(joined, StrongEdgeColoring.from_colors(colors))
 
 
 def test_serialized_form_is_canonical_json():
@@ -923,6 +930,25 @@ def test_strong_coloring_check_agrees_with_the_realized_graph(t, data):
         _both_say(t, mutant)
 
 
+def test_strong_coloring_check_follows_the_lowest_common_node():
+    """Two edges under a union never conflict, even below a join; a join's
+    cross edges conflict with every edge below it; a cotree leaf's edges
+    all conflict with each other."""
+    t = parse_decomposition(f'{{"type":"join","children":[{UNION_K2_K2},{K2_LEAF}]}}')
+    colors = list(strong_coloring(t).colors)
+    assert colors[0] == colors[1] and _both_say(t, colors)
+    for i in range(3):
+        for j in range(3, t.m):
+            assert not _both_say(t, colors[:j] + [colors[i]] + colors[j + 1 :])
+    p5 = "[[0,1],[1,2],[2,3],[3,4]]"
+    t = parse_decomposition(f'{{"type":"cotree","n":5,"edges":{p5}}}')
+    colors = list(range(t.m))
+    assert _both_say(t, colors)
+    for i in range(t.m):
+        for j in range(i + 1, t.m):
+            assert not _both_say(t, colors[:j] + [i] + colors[j + 1 :])
+
+
 def test_strong_coloring_check_wants_one_color_per_edge():
     t = parse_decomposition(JOIN_K2_K2)
     with pytest.raises(GraphError, match="5 entries for 6 edges"):
@@ -930,8 +956,9 @@ def test_strong_coloring_check_wants_one_color_per_edge():
 
 
 def test_strong_coloring_check_peaks_near_the_coloring():
-    """The 10^4 union chain has m = 176,088: the check keeps the colors at
-    each vertex, 2m references, and builds no edge list or graph."""
+    """The 10^4 union chain has m = 176,088, most of it in a cotree leaf of
+    512 vertices: the check keeps a set of that leaf's colors, and builds
+    no edge list or graph."""
     t = _bench_instance(10**4, 512, random.Random(0))
     coloring = strong_coloring(t)
     tracemalloc.start()
@@ -942,3 +969,22 @@ def test_strong_coloring_check_peaks_near_the_coloring():
         tracemalloc.stop()
     assert verdict is True
     assert peak <= 16 << 20
+
+
+def test_strong_coloring_check_peaks_near_a_set_entry_per_join_color():
+    """A join of two 300-vertex trees has 90,598 edges, 90,000 of them
+    cross edges of distinct colors: the check keeps a set of the join's
+    colors, about 109 bytes per edge, where a count per color and the
+    colors at each vertex took about 193."""
+    rng = random.Random(0)
+    trees = [TreeLeaf(random_labeled_tree(300, rng)) for _ in range(2)]
+    t = DecompositionTree(JoinNode(*trees))
+    coloring = strong_coloring(t)
+    tracemalloc.start()
+    try:
+        verdict = is_strong_edge_coloring_in(t, coloring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict is True
+    assert peak <= 150 * t.m, peak / t.m

@@ -1,5 +1,6 @@
 """Smoke tests: each experiment script runs to completion on tiny inputs,
-and the benchmark's span targets still exist."""
+the benchmark's span targets still exist, and README's library example
+runs."""
 
 import argparse
 import importlib.util
@@ -65,3 +66,19 @@ def test_oracle_sweep_counts_a_rejected_certificate_as_a_failure(monkeypatch, ca
     assert lines[3].startswith(
         "3 instances, 0 comparisons, 0 disagreements, 3 failed checks"
     )
+
+
+def test_readme_library_example_runs():
+    """The Python block under README's "## Library" runs as written on a
+    small decomposition document, so the calls it shows match the code."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    text = (
+        '{"type":"join","children":[{"type":"union","children":['
+        '{"type":"tree","n":2,"edges":[[0,1]]},{"type":"tree","n":3,"edges":[[0,1],[1,2]]}]},'
+        '{"type":"cotree","n":4,"edges":[[0,1],[1,2],[2,3]]}]}'
+    )
+    namespace = {"text": text}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["value"] == namespace["coloring"].palette_size > 0
