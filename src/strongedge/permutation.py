@@ -195,17 +195,18 @@ def greedy_trapezoid_coloring(
     pi: Sequence[int], later: Sequence[Sequence[int]]
 ) -> StrongEdgeColoring:
     """Tightest-fit sweep over the trapezoids of the inversions `later` =
-    inversions(pi), in O(n + m log n).  Colors follow the edge order (u, v)
-    of `later`, relabeled to first-use order, in an ``array('i')``.
+    inversions(pi), in O(n + m log n).  Each edge's color is the id of its
+    class, in the edge order (u, v) of `later`, in an ``array('i')``.
 
     Edge (u, v) has top_lo = u, top_hi = v, bot_lo = pi[v] and bot_hi =
     pi[u].  Edges are processed in increasing (top_lo, bot_lo): top vertex
     by top vertex, each one's partners sorted by pi[v].  Each goes to a
     color class it is disjoint from, choosing among the candidates the
     class whose frontier reaches furthest on the bottom line (ties to the
-    smallest class index); a fresh class is opened only when none fits.  Per class only the frontier (the last member's right ends)
-    is kept: class members are totally ordered left-to-right on both lines,
-    so clearing the frontier clears the whole class, and because top_lo
+    smallest class index); a fresh class is opened only when none fits.
+    Per class only the frontier (the last member's right ends) is kept:
+    class members are totally ordered left-to-right on both lines, so
+    clearing the frontier clears the whole class, and because top_lo
     never decreases the frontier test is exact, not just sufficient.
 
     The candidates are found without scanning the classes.  A class waits
@@ -217,13 +218,13 @@ def greedy_trapezoid_coloring(
     by bisection; it holds at most n values, so keeping it sorted costs a
     short memory move per class released or emptied.
 
-    Class ids count in opening order, which sets the tie-break.  Once a top
-    vertex's edges have their classes, their colors are written in the
-    order of `later[u]` through one first-use label per class, so the
-    coloring comes out canonical with no relabeling pass.
+    Class ids count 0, 1, 2, ... in opening order, which sets the
+    tie-break, and every class opens with an edge, so the ids are the
+    colors 0..k-1 with no gap.  Once a top vertex's edges have their
+    classes, their ids are written in the order of `later[u]`.
 
-    The colors and the per-class state (bottom frontier, label and the link
-    of the wait buckets, kept as linked lists) are ``array('i')``s of 4
+    The colors and the per-class state (bottom frontier and the link of
+    the wait buckets, kept as linked lists) are ``array('i')``s of 4
     bytes an entry with no int object behind it.  Only the ids of free
     classes, in the heaps, are int objects.
 
@@ -233,18 +234,11 @@ def greedy_trapezoid_coloring(
     a fuller class also fits an emptier one.  Optimality is the tested
     greedy hypothesis; the oracle acceptance tests keep it honest.
     """
-    return StrongEdgeColoring(_tightest_fit(pi, later))
-
-
-def _tightest_fit(pi: Sequence[int], later: Sequence[Sequence[int]]) -> array:
-    """The colors of `greedy_trapezoid_coloring`, one per edge in the order
-    of `later`."""
     n = len(pi)
     colors = array("i", [0]) * sum(map(len, later))
-    # per class: bottom frontier, first-use color and the wait-bucket link,
-    # grown ahead of the classes a top vertex may open
+    # per class: bottom frontier and the wait-bucket link, grown ahead of
+    # the classes a top vertex may open
     fbot = array("i")
-    label = array("i")
     before = array("i")
     classes = 0
     # The wait buckets, as linked lists: the last class to wait at each
@@ -272,12 +266,9 @@ def _tightest_fit(pi: Sequence[int], later: Sequence[Sequence[int]]) -> array:
                 c = before[c]
             released += 1
         top = pi[u]
-        # the classes opened here take the next colors, in the order of vs
-        k = opened = classes
         if len(fbot) < classes + len(vs):
             more = array("i", [0]) * max(len(vs), classes >> 4)
             fbot += more
-            label += more
             before += more
         for v in sorted(vs, key=by_bottom) if len(vs) > 1 else vs:
             j = bisect_left(free_fbots, pi[v])
@@ -295,14 +286,9 @@ def _tightest_fit(pi: Sequence[int], later: Sequence[Sequence[int]]) -> array:
             before[c] = last[v]
             last[v] = c
         for v in vs:
-            c = last[v]
-            if c < opened:
-                colors[i] = label[c]
-            else:
-                colors[i] = label[c] = k
-                k += 1
+            colors[i] = last[v]
             i += 1
-    return colors
+    return StrongEdgeColoring(colors)
 
 
 def strong_color_permutation(

@@ -5,7 +5,8 @@ The index itself is a linear fold: leaves have closed forms (degree formula
 for trees, nonedge count for tree complements), a union takes the maximum
 and a join adds the cross-edge count to the sum of its children.  The
 certificate costs O(1) per edge: one rooted pass colors each tree leaf,
-and the fold's values lay out the palette ranges.
+and the fold's values lay out the palette ranges, which the certificate
+fills with no gap, so its colors are 0..sci-1 as they stand.
 """
 
 from __future__ import annotations
@@ -90,44 +91,42 @@ def _tree_leaf_coloring(t: Graph) -> list[int]:
 
 
 def strong_coloring(tree: DecompositionTree) -> StrongEdgeColoring:
-    """Optimal strong edge coloring of realize(tree).
+    """Optimal strong edge coloring of realize(tree), in the colors of the
+    palette layout.
 
-    Palette layout per node: a union lets both children reuse the same color
-    range (their components never conflict); a join keeps the left child's
-    range, shifts the right child's range past it, and gives the cross edges
-    fresh colors after both.  The ranges are set top-down; colors are then
-    emitted in post-order, which is the canonical realize edge order, and
-    relabeled to first-use order.
+    Each node owns the color range [b, b + per) of its subtree, where per
+    is its index: a union lets both children reuse its range (their
+    components never conflict); a join keeps the left child's range,
+    shifts the right child's past it, and gives the cross edges the top
+    n1*n2 colors of its own.  One top-down pass sets each node's children
+    their bases and writes the node's block of the canonical edge order,
+    which lists the blocks in post-order, from the last edge back.
+
+    The colors are exactly 0..sci-1, with no gap: a tree leaf uses all of
+    its range, as at the edge xy attaining max d(x)+d(y)-1 the edges at x
+    and y take that many distinct colors, all below it; a cotree leaf
+    uses one color per edge; a union's range is its wider child's, and a
+    join's is its children's ranges and its cross block back to back.
+    The colors are an ``array('i')``, 4 bytes per edge.
     """
     per = sci(tree).per_node
     order, left = tree.order, tree.left_pos
     base = [0] * len(order)
-    for i in range(len(order) - 1, -1, -1):
-        node, lf = order[i], left[i]
-        if isinstance(node, JoinNode):
-            base[lf] = base[i]
-            base[i - 1] = base[i] + per[lf]
-        elif isinstance(node, UnionNode):
-            base[lf] = base[i - 1] = base[i]
-    # Colors are relabeled to first-use order as they are written, through
-    # one label per color of the root's range.  Labels and colors are
-    # array('i')s, 4 bytes an entry with no int object per color.
-    label = array("i", [-1]) * per[-1]
-    k = i = 0
     colors = array("i", [0]) * tree.m
-    for node, b, width in zip(order, base, per):
+    end = tree.m
+    for i in range(len(order) - 1, -1, -1):
+        node, b = order[i], base[i]
         if isinstance(node, TreeLeaf):
-            raw = [b + c for c in _tree_leaf_coloring(node.t)]
+            block = array("i", [b + c for c in _tree_leaf_coloring(node.t)])
         elif isinstance(node, CotreeLeaf):
-            raw = range(b, b + node.m)
+            block = array("i", range(b, b + node.m))
         elif isinstance(node, JoinNode):
-            raw = range(b + width - node.left.n * node.right.n, b + width)
+            base[left[i]] = b
+            base[i - 1] = b + per[left[i]]
+            block = array("i", range(b + per[i] - node.left.n * node.right.n, b + per[i]))
         else:
+            base[left[i]] = base[i - 1] = b
             continue
-        for r in raw:
-            if label[r] < 0:
-                label[r] = k
-                k += 1
-            colors[i] = label[r]
-            i += 1
-    return StrongEdgeColoring(colors, k)
+        colors[end - len(block):end] = block
+        end -= len(block)
+    return StrongEdgeColoring(colors)

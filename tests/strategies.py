@@ -1,8 +1,10 @@
 """Shared hypothesis strategies: graphs, trees, decomposition trees and
 documents, and permutation diagrams sized for the exact oracles, plus a
-tree-diameter helper that the tests use as an independent reference and
-the union-chain instance that the scaling tests time."""
+tree-diameter helper that the tests use as an independent reference, the
+union-chain instance that the scaling tests time, and decomposition trees
+built together with a permutation of the same graph."""
 
+import itertools
 import random
 from collections import deque
 
@@ -11,11 +13,14 @@ import hypothesis.strategies as st
 from strongedge import (
     CotreeLeaf,
     DecompositionTree,
+    Graph,
     JoinNode,
     PermutationDiagram,
     TreeLeaf,
     UnionNode,
     build_graph,
+    inversions,
+    is_tree,
     random_labeled_tree,
     tree_from_prufer,
 )
@@ -117,3 +122,53 @@ def permutation_diagrams(draw, min_n=0, max_n=9):
     n = draw(st.integers(min_n, max_n))
     pi = draw(st.permutations(range(n)))
     return PermutationDiagram(n, tuple(pi))
+
+
+def _inversion_edges(p):
+    return [(u, v) for u, vs in enumerate(inversions(p)) for v in vs]
+
+
+# The permutations of at most 6 points whose inversion graph is a tree
+# (32 of them, all caterpillars).
+_TREE_PERMUTATIONS = [
+    p
+    for n in range(1, 7)
+    for p in itertools.permutations(range(n))
+    if is_tree(Graph(n, _inversion_edges(p)))
+]
+
+
+def decomposition_with_permutation(depth, flip, pick):
+    """A decomposition node of at most `depth` levels and a permutation
+    whose inversion graph is the node's graph, vertex k at position k.
+
+    `flip()` draws a bool, True for an internal node, a cotree leaf and a
+    join, and `pick(seq)` draws an element of seq.  A leaf is a
+    permutation p of `_TREE_PERMUTATIONS`, whose inversion graph t is the
+    tree: TreeLeaf(t) with p, or CotreeLeaf(t) with the values of p
+    complemented (n - 1 - p[k]), which inverts exactly the pairs p does
+    not.  A union is the direct sum of its children's permutations (the
+    right one's values placed above the left one's), a join their skew
+    sum (below), which inverts every pair across.
+    """
+    if depth and flip():
+        left, p = decomposition_with_permutation(depth - 1, flip, pick)
+        right, q = decomposition_with_permutation(depth - 1, flip, pick)
+        if flip():
+            return JoinNode(left, right), tuple(x + len(q) for x in p) + q
+        return UnionNode(left, right), p + tuple(x + len(p) for x in q)
+    p = pick(_TREE_PERMUTATIONS)
+    t = Graph(len(p), _inversion_edges(p))
+    if flip():
+        return CotreeLeaf(t), tuple(len(p) - 1 - x for x in p)
+    return TreeLeaf(t), p
+
+
+@st.composite
+def decompositions_with_permutations(draw, max_depth=3):
+    """A DecompositionTree and a permutation whose inversion graph is
+    realize(tree), vertex for vertex; shrinks towards one tree leaf."""
+    node, pi = decomposition_with_permutation(
+        max_depth, lambda: draw(st.booleans()), lambda seq: draw(st.sampled_from(seq))
+    )
+    return DecompositionTree(node), pi

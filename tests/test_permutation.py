@@ -130,9 +130,11 @@ def test_greedy_coloring_examples():
     c = greedy_trapezoid_coloring(d.pi, inversions(d.pi))
     assert tuple(c.colors) == (0, 0) and c.palette_size == 1
 
+    # Vertex 0's partners are swept by pi[v]: (0, 2) opens class 0 and
+    # (0, 1) class 1.  Each edge's color is its class id, in list order.
     k3 = PermutationDiagram(3, (2, 1, 0))
     c3 = greedy_trapezoid_coloring(k3.pi, inversions(k3.pi))
-    assert sorted(c3.colors) == [0, 1, 2]
+    assert tuple(c3.colors) == (1, 0, 2)
 
     assert greedy_trapezoid_coloring((), []).palette_size == 0
 
@@ -158,7 +160,8 @@ def test_sweep_keeps_four_bytes_per_edge():
 
 
 def _tightest_fit_reference(traps):
-    """The sweep's class choice by scanning every open class, O(m * k)."""
+    """The sweep's class choice by scanning every open class, O(m * k);
+    each edge's color is the id of its class."""
     order = sorted(traps, key=lambda t: (t.top_lo, t.bot_lo, t.edge_index))
     ftop, fbot = [], []
     colors = [0] * len(traps)
@@ -172,7 +175,7 @@ def _tightest_fit_reference(traps):
             fbot.append(0)
         ftop[c], fbot[c] = t.top_hi, t.bot_hi
         colors[t.edge_index] = c
-    return StrongEdgeColoring.from_colors(colors)
+    return StrongEdgeColoring(array("i", colors))
 
 
 def test_sweep_matches_the_class_scanning_reference():

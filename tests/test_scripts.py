@@ -1,15 +1,19 @@
 """Smoke tests: each experiment script runs to completion on tiny inputs,
-the benchmark's span targets still exist, and README's library example
-runs."""
+the benchmark's span targets still exist, its output checks pass on the
+commands it runs, and README's library example runs."""
 
 import argparse
 import importlib.util
+import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from strongedge import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -45,6 +49,47 @@ def test_bench_span_targets_exist():
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     spans.Instrumentation(spans.Tracer())
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _printed(capsys, argv):
+    assert cli.main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("make", ["perm_dense", "perm_sparse"])
+def test_perm_output_passes_the_benchmark_checks(make, tmp_path, capsys):
+    """`perm --json --color --verify` as the benchmark runs it, its rows
+    checked by the benchmark's own sparse checker."""
+    check, gen = _bench_module("check"), _bench_module("gen")
+    pi = getattr(gen, make)(random.Random(0))
+    path = tmp_path / "doc.txt"
+    path.write_text(gen.perm_document(pi))
+    out = _printed(capsys, ["perm", "--json", "--color", "--verify", str(path)])
+    edges = check.inversion_graph(pi)
+    palette = check.check_strong_coloring(len(pi), edges, out["coloring"])
+    assert palette == out["palette"] >= check.degree_bound(len(pi), edges)
+    assert out["verified"] is True
+
+
+def test_sci_output_passes_the_benchmark_checks(tmp_path, capsys):
+    """`sci --json --color --verify` on a cograph-hubs document, checked
+    against the benchmark's own graph and recursion."""
+    check, gen = _bench_module("check"), _bench_module("gen")
+    desc = gen.cograph_hubs(random.Random(0))
+    path = tmp_path / "doc.json"
+    path.write_text(gen.cograph_document(desc))
+    out = _printed(capsys, ["sci", "--json", "--color", "--verify", str(path)])
+    n, edges = check.cograph_edges(desc)
+    palette = check.check_strong_coloring(n, edges, out["coloring"])
+    assert palette == out["value"] == check.cograph_sci(desc)
+    assert out["verified"] is True
 
 
 def test_oracle_sweep_counts_a_rejected_certificate_as_a_failure(monkeypatch, capsys):

@@ -9,6 +9,7 @@ from strongedge import (
     CotreeLeaf,
     DecompositionError,
     DecompositionTree,
+    Graph,
     JoinNode,
     TreeLeaf,
     UnionNode,
@@ -96,6 +97,14 @@ def test_strong_coloring_examples():
     cp = strong_coloring(p)
     assert cp.palette_size == 3
     assert is_strong_edge_coloring(P4, cp)
+
+
+def test_strong_coloring_keeps_the_leaf_colors_as_they_are():
+    # Rooted at vertex 0, the leaf coloring gives the root's edge (0, 1)
+    # color 0 and the edge (1, 2) below it color 1.  The edges are listed
+    # in input order and no first-use relabel renames the colors to (0, 1).
+    c = strong_coloring(DecompositionTree(TreeLeaf(Graph(3, [(1, 2), (0, 1)]))))
+    assert tuple(c.colors) == (1, 0) and c.palette_size == 2
 
 
 @given(decomposition_trees())
