@@ -2,7 +2,10 @@
 permutation graphs, with exact brute-force oracles for cross-verification.
 
 `sci`, `im` and `strong_coloring` run in linear time on decomposition
-trees, and `strong_color_permutation` colors permutation graphs.
+trees.  The `perm` command colors a permutation graph by running
+`greedy_trapezoid_coloring` on `inversions(pi)`; `strong_color_permutation`
+is the checked entry point for library callers, which first checks that
+the inversion lists it is given match the permutation.
 `strongedge.oracle` exists to falsify them: the exact solvers and the
 structural checks, which take graphs as bitset adjacency rows,
 `square_of_linegraph`, which builds L(G)^2 as those rows, and

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import random
-from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import islice
@@ -133,16 +132,19 @@ class DecompositionTree:
 
     ``order`` lists the nodes in post-order (left subtree, right subtree,
     node), so a bottom-up fold over the tree is one loop over it and a
-    top-down pass one loop over ``reversed(order)``.  Folds keep per-node
-    values in lists by position: the node at i has its right child at
-    i - 1 and its left child at ``left_pos[i]``, -1 at a leaf.  A node
-    shared under a hand-built root takes a position per occurrence, so it
-    stands for a repeated subtree; as every leaf has n >= 1, ``order`` has
-    at most 2 * root.n - 1 entries.  The walk is iterative because
-    normalized k-ary inputs produce arbitrarily deep chains.
+    top-down pass one loop over ``reversed(order)``.  A fold keeps a stack
+    of the values of the subtrees not yet given a parent: an internal node
+    pops its right child's value, then its left child's, and pushes its
+    own.  A top-down pass keeps the stack the other way round: a node pops
+    what its parent handed it and pushes its left child's share, then its
+    right child's, which the next node in ``reversed(order)`` pops.  A
+    node shared under a hand-built root takes a position per occurrence,
+    so it stands for a repeated subtree; as every leaf has n >= 1,
+    ``order`` has at most 2 * root.n - 1 entries.  The walk is iterative
+    because normalized k-ary inputs produce arbitrarily deep chains.
     """
 
-    __slots__ = ("root", "order", "left_pos")
+    __slots__ = ("root", "order")
 
     def __init__(self, root: DecompNode):
         if not isinstance(root, _NODES):
@@ -158,17 +160,8 @@ class DecompositionTree:
                 stack.append(node.right)
             order.append(node)
         order.reverse()
-        # an array: a list would keep an int object per position
-        left_pos = array("q", [-1]) * len(order)
-        done: list[int] = []  # positions of subtrees not yet given a parent
-        for i, node in enumerate(order):
-            if isinstance(node, _Internal):
-                left_pos[i] = done[-2]
-                del done[-2:]
-            done.append(i)
         self.root = root
         self.order = order
-        self.left_pos = left_pos
 
     @property
     def n(self) -> int:
@@ -505,13 +498,14 @@ def is_strong_edge_coloring_in(tree: DecompositionTree, coloring) -> bool:
     colors = coloring.colors
     if len(colors) != tree.m:
         raise GraphError(f"coloring has {len(colors)} entries for {tree.m} edges")
-    order, left = tree.order, tree.left_pos
+    order = tree.order
     below_join = bytearray(len(order))
+    flags = [False]  # handed down to the nodes still to come, the next on top
     for i in range(len(order) - 1, -1, -1):
+        flag = below_join[i] = flags.pop()
         if isinstance(order[i], _Internal):
-            below_join[left[i]] = below_join[i - 1] = (
-                below_join[i] or isinstance(order[i], JoinNode)
-            )
+            flag = flag or isinstance(order[i], JoinNode)
+            flags += (flag, flag)
     unread = coloring.interned()  # taken a node's block at a time
     sets: list[set | None] = []  # of each subtree not yet given a parent
     for i, node in enumerate(order):

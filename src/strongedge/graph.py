@@ -146,7 +146,8 @@ def is_tree(g: Graph) -> bool:
 @dataclass(frozen=True)
 class StrongEdgeColoring:
     """Map edge index -> color, in canonical form: colors are consecutive
-    integers 0..palette_size-1 with no gaps.
+    integers 0..palette_size-1 with no gaps.  The constructor takes the
+    colors alone and counts ``palette_size`` from them.
 
     ``colors`` is any sequence of ints.  The colorings this package makes
     hold an ``array('i')``: 4 bytes per edge and no int object per color.
@@ -155,36 +156,28 @@ class StrongEdgeColoring:
     """
 
     colors: Sequence[int]
-    palette_size: int = field(default=-1)
+    palette_size: int = field(init=False)
 
     def __post_init__(self):
         colors = self.colors
-        k, gaps = 0, False
+        k = 0  # and left 0 if a color is negative or past len - 1: a gap for sure
         if colors:
             hi = max(colors)
-            if min(colors) < 0 or hi >= len(colors):
-                # a gap for sure; the distinct count feeds only the palette message
-                k, gaps = len(set(colors)), True
-            else:
+            if min(colors) >= 0 and hi < len(colors):
                 seen = bytearray(hi + 1)
                 for c in colors:
                     seen[c] = 1
                 k = seen.count(1)
-                gaps = k != hi + 1
-        if self.palette_size == -1:
-            object.__setattr__(self, "palette_size", k)
-        if self.palette_size != k:
-            raise GraphError(f"palette_size {self.palette_size} != {k} distinct colors")
-        if gaps:
-            raise GraphError("colors must be exactly 0..k-1 with no gaps")
+            if not 0 < k == hi + 1:
+                raise GraphError("colors must be exactly 0..k-1 with no gaps")
+        object.__setattr__(self, "palette_size", k)
 
     @classmethod
     def from_colors(cls, colors) -> "StrongEdgeColoring":
         """Relabel arbitrary non-negative colors to 0..k-1 in first-use
         order, into an ``array('i')``."""
         relabel: dict[int, int] = {}
-        out = array("i", (relabel.setdefault(c, len(relabel)) for c in colors))
-        return cls(out, len(relabel))
+        return cls(array("i", (relabel.setdefault(c, len(relabel)) for c in colors)))
 
     def interned(self) -> Iterator[int]:
         """The colors in edge order, each color one int object shared by

@@ -14,7 +14,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
-from .decomposition import CotreeLeaf, DecompositionTree, JoinNode, TreeLeaf, UnionNode
+from .decomposition import CotreeLeaf, DecompositionTree, JoinNode, TreeLeaf
 from .graph import Graph, StrongEdgeColoring, adjacency, bfs_tree
 
 # strong_coloring calls neither; bench/spans.py traces both by these names here.
@@ -46,17 +46,21 @@ def _sci_tree(t: Graph) -> int:
 def sci(tree: DecompositionTree) -> SChiResult:
     """Bottom-up strong chromatic index; linear in leaf sizes + tree size."""
     per_node: list[int] = []
-    for node, lf in zip(tree.order, tree.left_pos):
+    stack: list[int] = []  # the values of the subtrees not yet given a parent
+    for node in tree.order:
         if isinstance(node, TreeLeaf):
-            per_node.append(_sci_tree(node.t))
+            value = _sci_tree(node.t)
         elif isinstance(node, CotreeLeaf):
             # L(complement of t)^2 is a clique: one color per edge
-            per_node.append(node.m)
-        elif isinstance(node, JoinNode):
-            cross = node.left.n * node.right.n
-            per_node.append(cross + per_node[lf] + per_node[-1])
+            value = node.m
         else:
-            per_node.append(max(per_node[lf], per_node[-1]))
+            right, left = stack.pop(), stack.pop()
+            if isinstance(node, JoinNode):
+                value = node.left.n * node.right.n + left + right
+            else:
+                value = max(left, right)
+        stack.append(value)
+        per_node.append(value)
     return SChiResult(per_node[-1], per_node)
 
 
@@ -98,9 +102,10 @@ def strong_coloring(tree: DecompositionTree) -> StrongEdgeColoring:
     is its index: a union lets both children reuse its range (their
     components never conflict); a join keeps the left child's range,
     shifts the right child's past it, and gives the cross edges the top
-    n1*n2 colors of its own.  One top-down pass sets each node's children
-    their bases and writes the node's block of the canonical edge order,
-    which lists the blocks in post-order, from the last edge back.
+    n1*n2 colors of its own.  One top-down pass hands each node's
+    children their bases on a stack, the right child's on top, and writes
+    the node's block of the canonical edge order, which lists the blocks
+    in post-order, from the last edge back.
 
     The colors are exactly 0..sci-1, with no gap: a tree leaf uses all of
     its range, as at the edge xy attaining max d(x)+d(y)-1 the edges at x
@@ -110,22 +115,23 @@ def strong_coloring(tree: DecompositionTree) -> StrongEdgeColoring:
     The colors are an ``array('i')``, 4 bytes per edge.
     """
     per = sci(tree).per_node
-    order, left = tree.order, tree.left_pos
-    base = [0] * len(order)
+    order = tree.order
     colors = array("i", [0]) * tree.m
     end = tree.m
+    bases = [0]  # handed down to the nodes still to come, the next on top
     for i in range(len(order) - 1, -1, -1):
-        node, b = order[i], base[i]
+        node, b = order[i], bases.pop()
         if isinstance(node, TreeLeaf):
             block = array("i", [b + c for c in _tree_leaf_coloring(node.t)])
         elif isinstance(node, CotreeLeaf):
             block = array("i", range(b, b + node.m))
         elif isinstance(node, JoinNode):
-            base[left[i]] = b
-            base[i - 1] = b + per[left[i]]
-            block = array("i", range(b + per[i] - node.left.n * node.right.n, b + per[i]))
+            top, cross = b + per[i], node.left.n * node.right.n
+            # the right child, at i - 1, starts where the left one's range ends
+            bases += (b, top - cross - per[i - 1])
+            block = array("i", range(top - cross, top))
         else:
-            base[left[i]] = base[i - 1] = b
+            bases += (b, b)
             continue
         colors[end - len(block):end] = block
         end -= len(block)

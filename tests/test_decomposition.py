@@ -239,18 +239,17 @@ def test_order_lists_each_node_once_children_first(t):
 
 
 def _assert_child_positions(t):
+    """Each internal node's children sit where post-order puts them: its
+    right child just before it, its left child just before the right
+    child's subtree, found as the folds find them, on a stack."""
+    done = []  # positions of the subtrees not yet given a parent
     for i, node in enumerate(t.order):
-        if isinstance(node, (TreeLeaf, CotreeLeaf)):
-            assert t.left_pos[i] == -1
-        else:
-            assert t.order[t.left_pos[i]] is node.left
-            assert t.order[i - 1] is node.right
-
-
-@given(decomposition_trees())
-def test_left_pos_names_each_left_child(t):
-    assert len(t.left_pos) == len(t.order)
-    _assert_child_positions(t)
+        if isinstance(node, (JoinNode, UnionNode)):
+            right, left = done.pop(), done.pop()
+            assert right == i - 1 and t.order[right] is node.right
+            assert t.order[left] is node.left
+        done.append(i)
+    assert done == [len(t.order) - 1]
 
 
 def test_folds_run_on_hand_built_chains_10_5_deep():
@@ -280,6 +279,30 @@ def test_folds_run_on_hand_built_chains_10_5_deep():
         assert is_strong_edge_coloring_in(joined, StrongEdgeColoring.from_colors(colors))
         colors[-1] = colors[0]  # the last cross edge in the first leaf's color
         assert not is_strong_edge_coloring_in(joined, StrongEdgeColoring.from_colors(colors))
+
+
+def test_colorings_hold_on_hand_built_chains_of_alternating_joins():
+    # 400 one-vertex leaves, joined and unioned in turn: the k-th join adds
+    # a cross edge to each of the 2k - 1 vertices below it, so m = 200^2
+    dot = build_graph(1, [])
+    for leftward in (True, False):
+        node = TreeLeaf(dot)
+        for k in range(399):
+            op, leaf = (JoinNode if k % 2 == 0 else UnionNode), TreeLeaf(dot)
+            node = op(node, leaf) if leftward else op(leaf, node)
+        t = DecompositionTree(node)
+        assert t.n == 400 and t.m == 40_000
+        _assert_child_positions(t)
+        coloring = strong_coloring(t)
+        assert sci(t).value == coloring.palette_size
+        g = realize(t)
+        assert is_strong_edge_coloring_in(t, coloring)
+        assert is_strong_edge_coloring(g, coloring)
+        colors = list(coloring.colors)
+        colors[-1] = colors[0]  # the last cross edge in edge 0's color
+        bad = StrongEdgeColoring.from_colors(colors)
+        assert not is_strong_edge_coloring_in(t, bad)
+        assert not is_strong_edge_coloring(g, bad)
 
 
 def test_serialized_form_is_canonical_json():

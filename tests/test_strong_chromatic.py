@@ -77,7 +77,6 @@ def test_sci_per_node_bookkeeping():
     # per_node is by post-order position: left leaf, right leaf, join
     t = parse_decomposition(JOIN_K2_K2)
     res = sci(t)
-    assert list(t.left_pos) == [-1, -1, 0]
     assert res.per_node == [1, 1, 6]
     assert res.per_node[-1] == res.value
 
