@@ -201,22 +201,30 @@ def _int_array(colors) -> array:
 
 
 @pytest.mark.parametrize(
-    "colors, message",
+    "colors, palette_size, message",
     [
-        ((0, 2), "colors must be exactly 0..k-1 with no gaps"),
-        ((1, 1), "colors must be exactly 0..k-1 with no gaps"),
-        ((0, 0, 2), "colors must be exactly 0..k-1 with no gaps"),
-        ((-1, 0), "colors must be exactly 0..k-1 with no gaps"),
-        ((-1,), "colors must be exactly 0..k-1 with no gaps"),
-        ((-1, 0, 0), "colors must be exactly 0..k-1 with no gaps"),
-        ((0, 10**12), "colors must be exactly 0..k-1 with no gaps"),
+        ((0, 2), -1, "colors must be exactly 0..k-1 with no gaps"),
+        ((0, 2), 2, "colors must be exactly 0..k-1 with no gaps"),
+        ((1, 1), -1, "colors must be exactly 0..k-1 with no gaps"),
+        ((0, 0, 2), -1, "colors must be exactly 0..k-1 with no gaps"),
+        ((-1,), -1, "colors must be exactly 0..k-1 with no gaps"),
+        ((-1, 0), -1, "colors must be exactly 0..k-1 with no gaps"),
+        ((-1, 0), 2, "colors must be exactly 0..k-1 with no gaps"),
+        ((-1, 0, 0), 3, "colors must be exactly 0..k-1 with no gaps"),
+        ((0, 10**12), 3, "colors must be exactly 0..k-1 with no gaps"),
     ],
 )
-def test_coloring_check_rejects_with_its_message(colors, message):
+def test_coloring_check_rejects_with_its_message(colors, palette_size, message):
+    """The colors alone are rejected with ``message``.  A palette passed as
+    well (``palette_size`` other than -1) is refused before any check: the
+    constructor takes no palette, it counts it."""
     for kind in (tuple, _int_array):
         with pytest.raises(GraphError) as info:
             StrongEdgeColoring(kind(colors))
         assert str(info.value) == message
+        if palette_size != -1:
+            with pytest.raises(TypeError):
+                StrongEdgeColoring(kind(colors), palette_size)
 
 
 def test_coloring_check_accepts_and_defaults_the_palette():
